@@ -54,7 +54,6 @@ from repro.core.presets import (
     PRESETS,
     ExperimentPreset,
     blobs_mini,
-    blobs_wide,
     lenet_glyphs,
     vggnet_shapes,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "WindowRecord",
     "adaptive_chunk_size",
     "blobs_mini",
-    "blobs_wide",
     "cache_enabled",
     "fingerprint",
     "inspect_checkpoint",

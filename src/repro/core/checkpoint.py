@@ -164,7 +164,6 @@ def _restore_tile(tile, d: dict) -> None:
     tile.pulse_miss_rate = float(d["pulse_miss_rate"])
     tile._conductance_cache = None
     tile._solver_cache.invalidate()
-    tile._device_g_cache.invalidate()
     tile._bounds_cache = None
     tile._dead_cache = None
     tile._state_version = int(d["state_version"])

@@ -72,6 +72,9 @@ CACHE_SCHEMA = 1
 #: Sentinel distinguishing "cache miss" from a cached ``None`` payload.
 _MISS = object()
 
+#: Seconds a terminated pool worker gets to exit before it is killed.
+_TERMINATE_GRACE_S = 5.0
+
 
 # -- fingerprinting -----------------------------------------------------------
 def _canonical(obj: Any) -> Any:
@@ -606,17 +609,29 @@ class ParallelExecutor:
 
         Worker processes are terminated explicitly: after a timeout the
         worker is still busy with the abandoned task, and ``shutdown``
-        alone would leave it running until interpreter exit.
+        alone would leave it running until interpreter exit.  The
+        process table is snapshotted first because ``shutdown`` drops
+        it; survivors of ``terminate`` are killed after a short grace.
         """
+        procs = list((getattr(pool, "_processes", None) or {}).values())
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # pragma: no cover - defensive
             pass
-        for proc in list((getattr(pool, "_processes", None) or {}).values()):
+        for proc in procs:
             try:
                 proc.terminate()
             except Exception:  # pragma: no cover - already gone
                 pass
+        deadline = time.monotonic() + _TERMINATE_GRACE_S
+        for proc in procs:
+            proc.join(max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():  # pragma: no cover - ignored SIGTERM
+                proc.kill()
+                proc.join()
+        manager = getattr(pool, "_executor_manager_thread", None)
+        if manager is not None:
+            manager.join(_TERMINATE_GRACE_S)
 
     def _effective_timeout(self, task: Task) -> Optional[float]:
         return task.timeout if task.timeout is not None else self.task_timeout

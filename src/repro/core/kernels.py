@@ -47,13 +47,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Tuple
 
-from repro.core.backend import (
-    DeviceArrayCache,
-    active as active_backend,
-    host_sparse as sparse,
-    hxp,
-    sparse_lu as splu,
-)
+import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
+
 from repro.core.profiling import PROFILER
 from repro.exceptions import ConfigurationError, ShapeError
 
@@ -78,7 +75,7 @@ def cache_enabled() -> bool:
     return _CACHE_ENABLED
 
 
-def assemble_nodal_matrix(g: hxp.ndarray, g_wire: float) -> sparse.csc_matrix:
+def assemble_nodal_matrix(g: np.ndarray, g_wire: float) -> sparse.csc_matrix:
     """Vectorized assembly of the nodal matrix ``A`` (no RHS).
 
     Same stamps as the per-cell loop reference in
@@ -92,7 +89,7 @@ def assemble_nodal_matrix(g: hxp.ndarray, g_wire: float) -> sparse.csc_matrix:
     """
     rows, cols = g.shape
     n = 2 * rows * cols
-    w_idx = hxp.arange(rows)[:, None] * cols + hxp.arange(cols)[None, :]
+    w_idx = np.arange(rows)[:, None] * cols + np.arange(cols)[None, :]
     b_idx = rows * cols + w_idx
 
     # Conductance stamps between node pairs (a, b): four COO entries
@@ -103,21 +100,21 @@ def assemble_nodal_matrix(g: hxp.ndarray, g_wire: float) -> sparse.csc_matrix:
     if cols > 1:                             # wordline chain towards j = 0
         pair_a.append(w_idx[:, 1:].ravel())
         pair_b.append(w_idx[:, :-1].ravel())
-        pair_v.append(hxp.full((cols - 1) * rows, g_wire, dtype=hxp.float64))
+        pair_v.append(np.full((cols - 1) * rows, g_wire, dtype=np.float64))
     if rows > 1:                             # bitline chain towards i = rows-1
         pair_a.append(b_idx[:-1, :].ravel())
         pair_b.append(b_idx[1:, :].ravel())
-        pair_v.append(hxp.full((rows - 1) * cols, g_wire, dtype=hxp.float64))
-    a = hxp.concatenate(pair_a)
-    b = hxp.concatenate(pair_b)
-    v = hxp.concatenate(pair_v)
+        pair_v.append(np.full((rows - 1) * cols, g_wire, dtype=np.float64))
+    a = np.concatenate(pair_a)
+    b = np.concatenate(pair_b)
+    v = np.concatenate(pair_v)
 
     # Source terminals: wordline drivers at j = 0, TIA virtual grounds
     # at i = rows-1 — diagonal-only entries.
-    src = hxp.concatenate([w_idx[:, 0], b_idx[-1, :]])
-    coo_rows = hxp.concatenate([a, b, a, b, src])
-    coo_cols = hxp.concatenate([a, b, b, a, src])
-    coo_vals = hxp.concatenate([v, v, -v, -v, hxp.full(src.size, g_wire, dtype=hxp.float64)])
+    src = np.concatenate([w_idx[:, 0], b_idx[-1, :]])
+    coo_rows = np.concatenate([a, b, a, b, src])
+    coo_cols = np.concatenate([a, b, b, a, src])
+    coo_vals = np.concatenate([v, v, -v, -v, np.full(src.size, g_wire, dtype=np.float64)])
     return sparse.coo_matrix(
         (coo_vals, (coo_rows, coo_cols)), shape=(n, n)
     ).tocsc()
@@ -132,8 +129,8 @@ class NodalSolver:
     crossbar (``T = g``) with no sparse work at all.
     """
 
-    def __init__(self, conductances: hxp.ndarray, r_wire: float) -> None:
-        g = hxp.asarray(conductances, dtype=hxp.float64)
+    def __init__(self, conductances: np.ndarray, r_wire: float) -> None:
+        g = np.asarray(conductances, dtype=np.float64)
         if g.ndim != 2:
             raise ShapeError(f"conductances must be 2-D, got shape {g.shape}")
         if r_wire < 0:
@@ -141,59 +138,50 @@ class NodalSolver:
         self.rows, self.cols = g.shape
         self.r_wire = float(r_wire)
         if self.r_wire == 0.0:
-            self._transfer = hxp.array(g)
+            self._transfer = np.array(g)
         else:
             g_wire = 1.0 / self.r_wire
             n = 2 * self.rows * self.cols
-            drive = hxp.arange(self.rows) * self.cols
+            drive = np.arange(self.rows) * self.cols
             bottom = (
                 self.rows * self.cols
                 + (self.rows - 1) * self.cols
-                + hxp.arange(self.cols)
+                + np.arange(self.cols)
             )
             with PROFILER.timer("kernels.factorize"):
                 lu = splu(assemble_nodal_matrix(g, g_wire))
                 # Transfer matrix: column k of E is the unit drive of
                 # input k scaled by the driver conductance; the bottom
                 # node voltages times g_wire are the TIA currents.
-                unit_drives = hxp.zeros((n, self.rows), dtype=hxp.float64)
-                unit_drives[drive, hxp.arange(self.rows)] = g_wire
-                self._transfer = hxp.ascontiguousarray(
+                unit_drives = np.zeros((n, self.rows), dtype=np.float64)
+                unit_drives[drive, np.arange(self.rows)] = g_wire
+                self._transfer = np.ascontiguousarray(
                     lu.solve(unit_drives)[bottom].T * g_wire
                 )
             PROFILER.increment("kernels.factorizations")
         self._transfer.setflags(write=False)
-        # Device-resident copy of the (immutable) transfer matrix; only
-        # populated on accelerator backends, dropped from pickles.
-        self._transfer_dev = DeviceArrayCache()
 
     @property
-    def transfer_matrix(self) -> hxp.ndarray:
+    def transfer_matrix(self) -> np.ndarray:
         """The dense ``(rows, cols)`` input→current map (read-only)."""
         return self._transfer
 
-    def solve(self, v_in: hxp.ndarray) -> hxp.ndarray:
+    def solve(self, v_in: np.ndarray) -> np.ndarray:
         """TIA currents for a single vector ``(rows,)`` or batch ``(b, rows)``.
 
         Batched results are bit-identical to per-vector results (the
         einsum reduction is row-stable; see module docstring).
         """
-        v = hxp.asarray(v_in, dtype=hxp.float64)
+        v = np.asarray(v_in, dtype=np.float64)
         single = v.ndim == 1
-        v2 = hxp.atleast_2d(v)
+        v2 = np.atleast_2d(v)
         if v2.ndim != 2 or v2.shape[-1] != self.rows:
             raise ShapeError(
                 f"v_in must have shape ({self.rows},) or (batch, {self.rows}), "
                 f"got {v.shape}"
             )
         PROFILER.increment("kernels.solves", v2.shape[0])
-        bk = active_backend()
-        if bk.is_host:
-            # The golden path: einsum's row-stable reduction, verbatim.
-            out = hxp.einsum("bi,ij->bj", v2, self._transfer)
-        else:
-            t_dev = self._transfer_dev.get(bk, 0, self._transfer)
-            out = bk.to_numpy(bk.einsum("bi,ij->bj", v2, t_dev))
+        out = np.einsum("bi,ij->bj", v2, self._transfer)
         return out[0] if single else out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

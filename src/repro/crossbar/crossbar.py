@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.core.backend import DeviceArrayCache, active as active_backend, hxp
+import numpy as np
+
 from repro.core.fastpath import vectorized_enabled
 from repro.core.kernels import FactorizationCache, NodalSolver, cache_enabled
 from repro.core.profiling import PROFILER
@@ -71,19 +72,15 @@ class Crossbar:
         #: Monotonic counter of programmed-state mutations; keys the
         #: conductance and factorization caches (DESIGN.md §9).
         self._state_version = 0
-        self._conductance_cache: Optional[Tuple[int, hxp.ndarray]] = None
+        self._conductance_cache: Optional[Tuple[int, np.ndarray]] = None
         self._solver_cache = FactorizationCache()
-        #: Device-resident conductance copy for accelerator backends,
-        #: keyed by ``state_version`` (noise-free reads only; a noisy
-        #: read draws fresh values per call and is never cached).
-        self._device_g_cache = DeviceArrayCache()
         #: Monotonic counter of *stress* mutations (pulse aging, fault
         #: injection); keys the aged-bounds/dead-mask caches of the
         #: vectorized pulse path (DESIGN.md §11).  Resistance writes do
         #: not age devices and leave these caches valid.
         self._stress_version = 0
-        self._bounds_cache: Optional[Tuple[int, hxp.ndarray, hxp.ndarray]] = None
-        self._dead_cache: Optional[Tuple[int, hxp.ndarray]] = None
+        self._bounds_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._dead_cache: Optional[Tuple[int, np.ndarray]] = None
 
         shape = (self.rows, self.cols)
         if self.config.variability is not None:
@@ -92,12 +89,12 @@ class Crossbar:
             )
             self.r_fresh_min, self.r_fresh_max = lo, hi
         else:
-            self.r_fresh_min = hxp.full(shape, self.config.r_min, dtype=hxp.float64)
-            self.r_fresh_max = hxp.full(shape, self.config.r_max, dtype=hxp.float64)
+            self.r_fresh_min = np.full(shape, self.config.r_min, dtype=np.float64)
+            self.r_fresh_max = np.full(shape, self.config.r_max, dtype=np.float64)
         #: Per-device programming pulse counters.
-        self.pulse_counts = hxp.zeros(shape, dtype=hxp.int64)
+        self.pulse_counts = np.zeros(shape, dtype=np.int64)
         #: Per-device accumulated stress time (s).
-        self.stress_time = hxp.zeros(shape, dtype=hxp.float64)
+        self.stress_time = np.zeros(shape, dtype=np.float64)
         #: Programmed resistances; fresh devices wake up in their HRS.
         self.resistance = self.r_fresh_max.copy()
         #: Fault-injection controls (set by
@@ -110,7 +107,7 @@ class Crossbar:
 
     # -- state versioning --------------------------------------------------
     @property
-    def resistance(self) -> hxp.ndarray:
+    def resistance(self) -> np.ndarray:
         """Programmed resistance matrix.
 
         Assigning to this attribute (as every programming routine and
@@ -121,7 +118,7 @@ class Crossbar:
         return self._resistance
 
     @resistance.setter
-    def resistance(self, value: hxp.ndarray) -> None:
+    def resistance(self, value: np.ndarray) -> None:
         self._resistance = value
         # A resistance write invalidates the read-path caches but not
         # the aged-bounds caches: programming moves values, not stress.
@@ -161,7 +158,7 @@ class Crossbar:
     def shape(self) -> Tuple[int, int]:
         return (self.rows, self.cols)
 
-    def aged_bounds(self) -> Tuple[hxp.ndarray, hxp.ndarray]:
+    def aged_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-device ``(R_aged,min, R_aged,max)`` arrays.
 
         Cached per stress version on the vectorized path (DESIGN.md
@@ -188,7 +185,7 @@ class Crossbar:
             self._bounds_cache = (self._stress_version, lo, hi)
         return lo, hi
 
-    def dead_mask(self) -> hxp.ndarray:
+    def dead_mask(self) -> np.ndarray:
         """Devices with fewer than two usable levels left (end-of-life).
 
         Cached per stress version alongside :meth:`aged_bounds`.
@@ -209,9 +206,9 @@ class Crossbar:
 
     def dead_fraction(self) -> float:
         """Fraction of dead devices in the array."""
-        return float(hxp.mean(self.dead_mask()))
+        return float(np.mean(self.dead_mask()))
 
-    def usable_level_counts(self) -> hxp.ndarray:
+    def usable_level_counts(self) -> np.ndarray:
         """Per-device number of surviving quantized levels."""
         lo, hi = self.aged_bounds()
         return self.grid.usable_count(lo, hi)
@@ -221,7 +218,7 @@ class Crossbar:
         return int(self.pulse_counts.sum())
 
     # -- programming -----------------------------------------------------------
-    def _apply_stress(self, mask: hxp.ndarray, at_resistance: hxp.ndarray) -> None:
+    def _apply_stress(self, mask: np.ndarray, at_resistance: np.ndarray) -> None:
         """Accrue one pulse of stress on masked devices.
 
         The stress contribution of a pulse scales with the programming
@@ -234,7 +231,7 @@ class Crossbar:
         self.stress_time[mask] += self.config.pulse_width * factor[mask]
         self._invalidate_stress_caches()
 
-    def _apply_pulse_misses(self, select: hxp.ndarray) -> hxp.ndarray:
+    def _apply_pulse_misses(self, select: np.ndarray) -> np.ndarray:
         """Drop selected devices whose programming pulse silently fails.
 
         A missed pulse is a driver/selector fault: the device neither
@@ -249,9 +246,9 @@ class Crossbar:
 
     def program(
         self,
-        targets: hxp.ndarray,
+        targets: np.ndarray,
         only_changed: bool = True,
-    ) -> hxp.ndarray:
+    ) -> np.ndarray:
         """Program the whole array towards ``targets`` (resistances).
 
         Each *selected* device receives one programming pulse (stress),
@@ -268,7 +265,7 @@ class Crossbar:
         self._program_impl(targets, only_changed)
         return self.resistance.copy()
 
-    def _program_impl(self, targets: hxp.ndarray, only_changed: bool) -> hxp.ndarray:
+    def _program_impl(self, targets: np.ndarray, only_changed: bool) -> np.ndarray:
         """Shared body of :meth:`program` / :meth:`program_targets`.
 
         Returns the boolean *select* mask of devices that actually
@@ -276,15 +273,15 @@ class Crossbar:
         run the identical operation sequence, so the scalar and batched
         programming paths are bit-identical by construction.
         """
-        targets = hxp.asarray(targets, dtype=hxp.float64)
+        targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != self.shape:
             raise ShapeError(f"targets shape {targets.shape} != crossbar {self.shape}")
-        if hxp.any(targets <= 0):
+        if np.any(targets <= 0):
             raise ConfigurationError("target resistances must be > 0")
 
         alive = ~self.dead_mask()
         if only_changed:
-            needs = hxp.abs(targets - self.resistance) > 0.5 * self.grid.step
+            needs = np.abs(targets - self.resistance) > 0.5 * self.grid.step
             select = alive & needs
         else:
             select = alive
@@ -292,7 +289,7 @@ class Crossbar:
         # Stress scales with the current at the programmed target: the
         # pulse drives the device towards (and holds it at) the target
         # resistance, so the target sets the dissipated power.
-        self._apply_stress(select, hxp.clip(targets, self.grid.r_min * 0.1, None))
+        self._apply_stress(select, np.clip(targets, self.grid.r_min * 0.1, None))
 
         lo, hi = self.aged_bounds()
         achieved = self.grid.quantize(targets, lo, hi)
@@ -300,11 +297,11 @@ class Crossbar:
             noise = self._rng.normal(
                 0.0, self.config.write_noise * self.grid.step, size=self.shape
             )
-            achieved = hxp.clip(achieved + noise, lo, hi)
-        self.resistance = hxp.where(select, achieved, self.resistance)
+            achieved = np.clip(achieved + noise, lo, hi)
+        self.resistance = np.where(select, achieved, self.resistance)
         return select
 
-    def program_targets(self, targets: hxp.ndarray, only_changed: bool = True) -> int:
+    def program_targets(self, targets: np.ndarray, only_changed: bool = True) -> int:
         """Batched programming: :meth:`program` without the result copy.
 
         Same draws, same arithmetic, same state transitions as
@@ -312,9 +309,9 @@ class Crossbar:
         return value that batch callers (the mapper) discard.  Returns
         the number of devices that actually received a pulse.
         """
-        return int(hxp.count_nonzero(self._program_impl(targets, only_changed)))
+        return int(np.count_nonzero(self._program_impl(targets, only_changed)))
 
-    def step_levels(self, directions: hxp.ndarray) -> hxp.ndarray:
+    def step_levels(self, directions: np.ndarray) -> np.ndarray:
         """Apply one ±1-level tuning pulse per selected device.
 
         ``directions`` holds -1/0/+1 per device (the sign of Eq. (5));
@@ -322,10 +319,10 @@ class Crossbar:
         clipped to their aged window.  Dead devices ignore pulses.
         Returns the new resistance matrix.
         """
-        directions = hxp.asarray(directions)
+        directions = np.asarray(directions)
         if directions.shape != self.shape:
             raise ShapeError(f"directions shape {directions.shape} != crossbar {self.shape}")
-        if not hxp.all(hxp.isin(directions, (-1, 0, 1))):
+        if not np.all(np.isin(directions, (-1, 0, 1))):
             raise ConfigurationError("directions must contain only -1, 0, 1")
 
         select = self._apply_pulse_misses((directions != 0) & ~self.dead_mask())
@@ -336,11 +333,11 @@ class Crossbar:
             stepped = stepped + self._rng.normal(
                 0.0, self.config.write_noise * self.grid.step, size=self.shape
             )
-        stepped = hxp.clip(stepped, lo, hi)
-        self.resistance = hxp.where(select, stepped, self.resistance)
+        stepped = np.clip(stepped, lo, hi)
+        self.resistance = np.where(select, stepped, self.resistance)
         return self.resistance.copy()
 
-    def step_conductance(self, directions: hxp.ndarray, fraction: float = 0.5) -> hxp.ndarray:
+    def step_conductance(self, directions: np.ndarray, fraction: float = 0.5) -> np.ndarray:
         """Apply one constant-amplitude tuning pulse per selected device.
 
         Unlike :meth:`step_levels` (which jumps a full *resistance*
@@ -353,10 +350,10 @@ class Crossbar:
         gradient sign, amplitude constant.  Clipped to the aged window;
         dead devices ignore pulses.  Returns the new resistances.
         """
-        directions = hxp.asarray(directions)
+        directions = np.asarray(directions)
         if directions.shape != self.shape:
             raise ShapeError(f"directions shape {directions.shape} != crossbar {self.shape}")
-        if not hxp.all(hxp.isin(directions, (-1, 0, 1))):
+        if not np.all(np.isin(directions, (-1, 0, 1))):
             raise ConfigurationError("directions must contain only -1, 0, 1")
         if fraction <= 0:
             raise ConfigurationError(f"fraction must be > 0, got {fraction}")
@@ -365,8 +362,8 @@ class Crossbar:
         return self.resistance.copy()
 
     def _pulse_impl(
-        self, directions: hxp.ndarray, active: hxp.ndarray, fraction: float
-    ) -> hxp.ndarray:
+        self, directions: np.ndarray, active: np.ndarray, fraction: float
+    ) -> np.ndarray:
         """Shared body of :meth:`step_conductance` / :meth:`program_pulses`.
 
         ``active`` is the precomputed ``directions != 0`` mask (batch
@@ -399,14 +396,14 @@ class Crossbar:
             if noise is not None:
                 g_new = g_new + noise
             # Convert back to resistance; keep conductance positive first.
-            g_new = hxp.maximum(g_new, 1.0 / hxp.maximum(hi, 1.0))
-            stepped = hxp.clip(1.0 / g_new, lo, hi)
-            self.resistance = hxp.where(select, stepped, self.resistance)
+            g_new = np.maximum(g_new, 1.0 / np.maximum(hi, 1.0))
+            stepped = np.clip(1.0 / g_new, lo, hi)
+            self.resistance = np.where(select, stepped, self.resistance)
             return select
         # Reference implementation: one device at a time.  min/max/clip
         # and +-*/ are elementwise-exact, so each device's value equals
         # the vectorized result bit for bit; unselected devices keep
-        # their resistance, exactly like the masked hxp.where above.
+        # their resistance, exactly like the masked np.where above.
         res = self.resistance
         out = res.copy()
         for i in range(self.rows):
@@ -422,7 +419,7 @@ class Crossbar:
         return select
 
     def program_pulses(
-        self, mask: hxp.ndarray, polarity: hxp.ndarray, fraction: float = 0.5
+        self, mask: np.ndarray, polarity: np.ndarray, fraction: float = 0.5
     ) -> int:
         """Batched tuning-pulse path: trusted-input :meth:`step_conductance`.
 
@@ -437,9 +434,9 @@ class Crossbar:
         ``REPRO_SCALAR_TUNER`` reference.  Returns the number of pulses
         that actually fired (post pulse-miss, post dead-mask).
         """
-        return int(hxp.count_nonzero(self._pulse_impl(polarity, mask, fraction)))
+        return int(np.count_nonzero(self._pulse_impl(polarity, mask, fraction)))
 
-    def apply_drift(self, magnitude: float, rng: SeedLike = None) -> hxp.ndarray:
+    def apply_drift(self, magnitude: float, rng: SeedLike = None) -> np.ndarray:
         """Conductance drift from repeated reading (paper's ref [8]).
 
         Unlike aging, drift is *recoverable* by reprogramming and adds
@@ -456,11 +453,11 @@ class Crossbar:
         gen = ensure_rng(rng) if rng is not None else self._rng
         factors = gen.lognormal(0.0, magnitude, size=self.shape)
         lo, hi = self.aged_bounds()
-        self.resistance = hxp.clip(self.resistance * factors, lo, hi)
+        self.resistance = np.clip(self.resistance * factors, lo, hi)
         return self.resistance.copy()
 
     # -- read-out ---------------------------------------------------------------
-    def read_resistances(self) -> hxp.ndarray:
+    def read_resistances(self) -> np.ndarray:
         """Resistance read-out (with read noise if configured).
 
         Injected noise (``read_noise_extra``, from a fault schedule)
@@ -472,9 +469,9 @@ class Crossbar:
         noisy = self.resistance * (
             1.0 + self._rng.normal(0.0, sigma, size=self.shape)
         )
-        return hxp.maximum(noisy, 1e-3)
+        return np.maximum(noisy, 1e-3)
 
-    def conductances(self) -> hxp.ndarray:
+    def conductances(self) -> np.ndarray:
         """Programmed conductance matrix ``G`` (noise-free).
 
         Cached per :attr:`state_version`; the returned array is
@@ -497,7 +494,7 @@ class Crossbar:
             self._conductance_cache = (self._state_version, g)
         return g
 
-    def read_conductances(self) -> hxp.ndarray:
+    def read_conductances(self) -> np.ndarray:
         """Conductance matrix as seen by a read (noise included).
 
         Noise-free reads hit the :meth:`conductances` cache; noisy
@@ -522,37 +519,26 @@ class Crossbar:
             lambda: NodalSolver(self.conductances(), model.r_wire),
         )
 
-    def vmm(self, v_in: hxp.ndarray) -> hxp.ndarray:
+    def vmm(self, v_in: np.ndarray) -> np.ndarray:
         """Analog vector-matrix multiply ``V_O = V_I · G · R_tia``.
 
         ``v_in`` may be a single vector ``(rows,)`` or a batch
         ``(batch, rows)``.
         """
-        v_in = hxp.asarray(v_in, dtype=hxp.float64)
+        v_in = np.asarray(v_in, dtype=np.float64)
         if v_in.shape[-1] != self.rows:
             raise ShapeError(
                 f"input width {v_in.shape[-1]} != crossbar rows {self.rows}"
             )
         PROFILER.increment("crossbar.vmm_calls")
-        g = self.read_conductances()
-        bk = active_backend()
-        if bk.is_host:
-            # The golden path: the exact pre-backend expression.
-            return v_in @ g * self.r_tia
-        noise_free = self.config.read_noise + self.read_noise_extra <= 0
-        g_dev = (
-            self._device_g_cache.get(bk, self._state_version, g)
-            if noise_free
-            else bk.asarray(g)
-        )
-        return bk.to_numpy(bk.matmul(bk.asarray(v_in), g_dev)) * self.r_tia
+        return v_in @ self.read_conductances() * self.r_tia
 
     def vmm_ir_drop(
         self,
-        v_in: hxp.ndarray,
+        v_in: np.ndarray,
         model: "ParasiticModel",
         exact: bool = False,
-    ) -> hxp.ndarray:
+    ) -> np.ndarray:
         """VMM with wire parasitics (noise-free read path).
 
         The exact path reuses this array's cached factorization

@@ -34,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.backend import gemm, host_sparse as sparse, hxp
+import numpy as np
+from scipy import sparse
+
 from repro.core.kernels import NodalSolver, assemble_nodal_matrix
 from repro.exceptions import ConfigurationError, ShapeError
 
@@ -60,8 +62,8 @@ def _node_index(i: int, j: int, cols: int, plane: int, rows: int) -> int:
 
 
 def _assemble_nodal_system(
-    g: hxp.ndarray, v_in: hxp.ndarray, g_wire: float
-) -> tuple[sparse.csc_matrix, hxp.ndarray]:
+    g: np.ndarray, v_in: np.ndarray, g_wire: float
+) -> tuple[sparse.csc_matrix, np.ndarray]:
     """Assemble the nodal system ``A x = rhs`` for one input vector.
 
     The matrix comes from the vectorized kernel-layer assembly
@@ -72,14 +74,14 @@ def _assemble_nodal_system(
     """
     rows, cols = g.shape
     matrix = assemble_nodal_matrix(g, g_wire)
-    rhs = hxp.zeros(2 * rows * cols, dtype=hxp.float64)
-    rhs[hxp.arange(rows) * cols] = g_wire * v_in
+    rhs = np.zeros(2 * rows * cols, dtype=np.float64)
+    rhs[np.arange(rows) * cols] = g_wire * v_in
     return matrix, rhs
 
 
 def _assemble_nodal_system_loop(
-    g: hxp.ndarray, v_in: hxp.ndarray, g_wire: float
-) -> tuple[sparse.csr_matrix, hxp.ndarray]:
+    g: np.ndarray, v_in: np.ndarray, g_wire: float
+) -> tuple[sparse.csr_matrix, np.ndarray]:
     """Reference per-cell loop assembly (the readable specification).
 
     Kept for the regression test that pins the vectorized assembly to
@@ -88,7 +90,7 @@ def _assemble_nodal_system_loop(
     rows, cols = g.shape
     n = 2 * rows * cols
     builder = sparse.lil_matrix((n, n))
-    rhs = hxp.zeros(n, dtype=hxp.float64)
+    rhs = np.zeros(n, dtype=np.float64)
 
     def add_conductance(a: int, b: int, value: float) -> None:
         builder[a, a] += value
@@ -121,10 +123,10 @@ def _assemble_nodal_system_loop(
 
 
 def solve_crossbar_nodal(
-    conductances: hxp.ndarray,
-    v_in: hxp.ndarray,
+    conductances: np.ndarray,
+    v_in: np.ndarray,
     model: ParasiticModel,
-) -> hxp.ndarray:
+) -> np.ndarray:
     """Exact column currents of a crossbar with wire parasitics.
 
     Nodal analysis: each cell (i, j) connects wordline node W(i,j) to
@@ -133,20 +135,20 @@ def solve_crossbar_nodal(
     (TIA virtual ground at i = rows-1).  Returns the per-column currents
     flowing into the TIAs for a single input vector ``v_in``.
     """
-    g = hxp.asarray(conductances, dtype=hxp.float64)
+    g = np.asarray(conductances, dtype=np.float64)
     if g.ndim != 2:
         raise ShapeError(f"conductances must be 2-D, got shape {g.shape}")
     rows, _cols = g.shape
-    v_in = hxp.asarray(v_in, dtype=hxp.float64)
+    v_in = np.asarray(v_in, dtype=np.float64)
     if v_in.shape != (rows,):
         raise ShapeError(f"v_in must have shape ({rows},), got {v_in.shape}")
     return NodalSolver(g, model.r_wire).solve(v_in)
 
 
 def ir_drop_factors(
-    conductances: hxp.ndarray,
+    conductances: np.ndarray,
     model: ParasiticModel,
-) -> hxp.ndarray:
+) -> np.ndarray:
     """First-order per-cell attenuation factors.
 
     Cell (i, j)'s signal path crosses ``j`` wordline segments and
@@ -159,26 +161,26 @@ def ir_drop_factors(
     current sharing), optimistic for dense activity — the usual
     first-order trade.  Apply as ``(v_in @ (g * f))``.
     """
-    g = hxp.asarray(conductances, dtype=hxp.float64)
+    g = np.asarray(conductances, dtype=np.float64)
     if g.ndim != 2:
         raise ShapeError(f"conductances must be 2-D, got shape {g.shape}")
     rows, cols = g.shape
     if model.r_wire == 0.0:
-        return hxp.ones_like(g)
-    j_idx = hxp.arange(cols)[None, :]
-    i_idx = hxp.arange(rows)[:, None]
+        return np.ones_like(g)
+    j_idx = np.arange(cols)[None, :]
+    i_idx = np.arange(rows)[:, None]
     segments = j_idx + (rows - 1 - i_idx) + 2
-    r_cell = 1.0 / hxp.maximum(g, 1e-12)
+    r_cell = 1.0 / np.maximum(g, 1e-12)
     return r_cell / (r_cell + model.r_wire * segments)
 
 
 def vmm_with_ir_drop(
-    conductances: hxp.ndarray,
-    v_in: hxp.ndarray,
+    conductances: np.ndarray,
+    v_in: np.ndarray,
     model: ParasiticModel,
     exact: bool = False,
     solver: Optional[NodalSolver] = None,
-) -> hxp.ndarray:
+) -> np.ndarray:
     """VMM including IR drop (batched on both models).
 
     ``exact=True`` runs the full nodal solution: the system is
@@ -191,9 +193,9 @@ def vmm_with_ir_drop(
     repeated exact reads skip the rebuild; it must have been built
     from ``conductances`` and ``model.r_wire``.
     """
-    g = hxp.asarray(conductances, dtype=hxp.float64)
-    v_arr = hxp.asarray(v_in, dtype=hxp.float64)
-    v = hxp.atleast_2d(v_arr)
+    g = np.asarray(conductances, dtype=np.float64)
+    v_arr = np.asarray(v_in, dtype=np.float64)
+    v = np.atleast_2d(v_arr)
     if v.shape[-1] != g.shape[0]:
         raise ShapeError(f"input width {v.shape[-1]} != rows {g.shape[0]}")
     if exact:
@@ -201,5 +203,5 @@ def vmm_with_ir_drop(
             solver = NodalSolver(g, model.r_wire)
         out = solver.solve(v)
     else:
-        out = gemm(v, g * ir_drop_factors(g, model))
+        out = v @ (g * ir_drop_factors(g, model))
     return out[0] if v_arr.ndim == 1 else out

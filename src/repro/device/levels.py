@@ -98,8 +98,9 @@ class LevelGrid:
         clipped = np.clip(r, lo, hi)
         snapped = self.value_of(self.index_of(clipped))
         # Snapping may step outside the aged window; push back inside
-        # (with float tolerance so exact-boundary levels stay put).
-        tol = 1e-9 * self.step
+        # (with a rounding-scale tolerance so exact-boundary levels stay
+        # put, while a level measurably outside the window never does).
+        tol = 1e-12 * self.step
         too_high = snapped > hi + tol
         too_low = snapped < lo - tol
         if np.any(too_high) or np.any(too_low):

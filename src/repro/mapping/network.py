@@ -30,8 +30,7 @@ import copy
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.core.backend import hxp
-
+import numpy as np
 from repro.core.fastpath import vectorized_enabled
 from repro.core.kernels import cache_enabled
 from repro.core.profiling import PROFILER
@@ -52,7 +51,7 @@ def clone_model(model: Sequential) -> Sequential:
     return copy.deepcopy(model)
 
 
-def _layer_matrix(layer) -> hxp.ndarray:
+def _layer_matrix(layer) -> np.ndarray:
     """Weighted layer's kernel as a 2-D ``(rows, cols)`` device matrix."""
     w = layer.params["W"]
     if isinstance(layer, Dense):
@@ -62,7 +61,7 @@ def _layer_matrix(layer) -> hxp.ndarray:
     raise ConfigurationError(f"layer {layer!r} cannot be mapped to a crossbar")
 
 
-def _matrix_to_kernel(matrix: hxp.ndarray, layer) -> hxp.ndarray:
+def _matrix_to_kernel(matrix: np.ndarray, layer) -> np.ndarray:
     """Inverse of :func:`_layer_matrix`."""
     if isinstance(layer, Dense):
         return matrix
@@ -112,49 +111,49 @@ class MappedLayer:
         #: Optional logical→physical row permutation (wear levelling —
         #: see :class:`repro.mitigation.row_swap.RowSwapper`).  Row ``i``
         #: of the logical matrix is stored on physical row ``perm[i]``.
-        self.row_permutation: Optional[hxp.ndarray] = None
+        self.row_permutation: Optional[np.ndarray] = None
         self._grid = device_config.make_level_grid()
 
     # -- row permutation (wear levelling) ---------------------------------
-    def set_row_permutation(self, perm: Optional[hxp.ndarray]) -> None:
+    def set_row_permutation(self, perm: Optional[np.ndarray]) -> None:
         """Install a logical→physical row permutation (or clear it)."""
         if perm is None:
             self.row_permutation = None
             return
-        perm = hxp.asarray(perm, dtype=hxp.int64)
+        perm = np.asarray(perm, dtype=np.int64)
         if sorted(perm.tolist()) != list(range(self.matrix_shape[0])):
             raise ConfigurationError(
                 f"not a permutation of {self.matrix_shape[0]} rows"
             )
         self.row_permutation = perm
 
-    def _to_physical(self, logical: hxp.ndarray) -> hxp.ndarray:
+    def _to_physical(self, logical: np.ndarray) -> np.ndarray:
         if self.row_permutation is None:
             return logical
-        out = hxp.empty_like(logical)
+        out = np.empty_like(logical)
         out[self.row_permutation] = logical
         return out
 
-    def _to_logical(self, physical: hxp.ndarray) -> hxp.ndarray:
+    def _to_logical(self, physical: np.ndarray) -> np.ndarray:
         if self.row_permutation is None:
             return physical
         return physical[self.row_permutation]
 
     # -- software side -----------------------------------------------------
-    def software_matrix(self) -> hxp.ndarray:
+    def software_matrix(self) -> np.ndarray:
         """Current trained weights as the 2-D device matrix."""
         return _layer_matrix(self.layer)
 
-    def traced_upper_bounds(self) -> hxp.ndarray:
+    def traced_upper_bounds(self) -> np.ndarray:
         """Aged upper bounds of all traced devices across tiles."""
         if not self.tracers:
-            return hxp.empty(0, dtype=hxp.float64)
-        return hxp.concatenate([t.traced_upper_bounds() for t in self.tracers])
+            return np.empty(0, dtype=np.float64)
+        return np.concatenate([t.traced_upper_bounds() for t in self.tracers])
 
-    def estimated_bounds(self) -> Tuple[hxp.ndarray, hxp.ndarray]:
+    def estimated_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Tracer-estimated per-device aged windows over the full matrix."""
-        lo = hxp.empty(self.matrix_shape, dtype=hxp.float64)
-        hi = hxp.empty(self.matrix_shape, dtype=hxp.float64)
+        lo = np.empty(self.matrix_shape, dtype=np.float64)
+        hi = np.empty(self.matrix_shape, dtype=np.float64)
         for (rs, cs, _tile), tracer in zip(self.tiles.iter_tiles(), self.tracers):
             tlo, thi = tracer.estimated_bounds()
             lo[rs, cs], hi[rs, cs] = tlo, thi
@@ -170,7 +169,7 @@ class MappedLayer:
         )
         return self.mapping
 
-    def predicted_matrix(self, r_lo: float, r_hi: float) -> hxp.ndarray:
+    def predicted_matrix(self, r_lo: float, r_hi: float) -> np.ndarray:
         """Predict the effective weight matrix for a hypothetical range.
 
         Uses the *traced* window estimates (not ground truth) — this is
@@ -181,10 +180,10 @@ class MappedLayer:
         )
         est_lo, est_hi = self.estimated_bounds()
         targets = self._to_physical(
-            hxp.asarray(mapping.weight_to_resistance(self.software_matrix()))
+            np.asarray(mapping.weight_to_resistance(self.software_matrix()))
         )
         achieved = self._grid.quantize(targets, est_lo, est_hi)
-        return hxp.asarray(mapping.resistance_to_weight(self._to_logical(achieved)))
+        return np.asarray(mapping.resistance_to_weight(self._to_logical(achieved)))
 
     def program(self) -> None:
         """Program the software weights into the tiles (ages devices).
@@ -196,7 +195,7 @@ class MappedLayer:
         """
         if self.mapping is None:
             raise ConfigurationError("set_range must be called before program")
-        targets = hxp.asarray(self.mapping.weight_to_resistance(self.software_matrix()))
+        targets = np.asarray(self.mapping.weight_to_resistance(self.software_matrix()))
         if vectorized_enabled():
             applied = self.tiles.program_targets(self._to_physical(targets))
             PROFILER.increment("programming.batched", applied)
@@ -204,7 +203,7 @@ class MappedLayer:
             self.tiles.program(self._to_physical(targets))
 
     # -- hardware side -------------------------------------------------------
-    def hardware_matrix(self) -> hxp.ndarray:
+    def hardware_matrix(self) -> np.ndarray:
         """Effective weight matrix read back from the devices.
 
         When the owning network models wire parasitics, the read
@@ -224,20 +223,20 @@ class MappedLayer:
             from repro.crossbar.parasitics import ir_drop_factors
 
             g = g * ir_drop_factors(g, self.parasitics)
-            physical = 1.0 / hxp.maximum(g, 1e-12)
-            return hxp.asarray(
+            physical = 1.0 / np.maximum(g, 1e-12)
+            return np.asarray(
                 self.mapping.resistance_to_weight(self._to_logical(physical))
             )
-        return hxp.asarray(
+        return np.asarray(
             self.mapping.conductance_to_weight(self._to_logical(g))
         )
 
-    def hardware_kernel(self) -> hxp.ndarray:
+    def hardware_kernel(self) -> np.ndarray:
         """Effective weights reshaped to the layer's kernel shape."""
         return _matrix_to_kernel(self.hardware_matrix(), self.layer)
 
     def apply_gradient_signs(
-        self, weight_grad: hxp.ndarray, threshold: float, step_fraction: float = 0.5
+        self, weight_grad: np.ndarray, threshold: float, step_fraction: float = 0.5
     ) -> int:
         """One Eq. (5) tuning sweep from a weight-gradient matrix.
 
@@ -253,11 +252,11 @@ class MappedLayer:
             raise ShapeError(
                 f"grad shape {weight_grad.shape} != device matrix {self.matrix_shape}"
             )
-        scale = float(hxp.max(hxp.abs(weight_grad)))
+        scale = float(np.max(np.abs(weight_grad)))
         if scale == 0.0:
             return 0
-        directions = (-hxp.sign(weight_grad)).astype(hxp.int64)
-        directions[hxp.abs(weight_grad) < threshold * scale] = 0
+        directions = (-np.sign(weight_grad)).astype(np.int64)
+        directions[np.abs(weight_grad) < threshold * scale] = 0
         physical = self._to_physical(directions)
         if vectorized_enabled():
             # Batched pulse path: mask == (polarity != 0) by
@@ -269,9 +268,9 @@ class MappedLayer:
             PROFILER.increment("tuning.batched_pulses", applied)
         else:
             self.tiles.step_conductance(physical, fraction=step_fraction)
-        return int(hxp.count_nonzero(directions))
+        return int(np.count_nonzero(directions))
 
-    def dead_device_mask(self) -> hxp.ndarray:
+    def dead_device_mask(self) -> np.ndarray:
         """Dead devices in the *logical* matrix arrangement.
 
         Dead masks come out of the tiles in physical coordinates; the
@@ -283,7 +282,7 @@ class MappedLayer:
     def mean_aged_upper_bound(self) -> float:
         """Average aged ``R_max`` over all devices (Fig. 11 metric)."""
         _lo, hi = self.tiles.aged_bounds()
-        return float(hxp.mean(hi))
+        return float(np.mean(hi))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -337,13 +336,13 @@ class MappedNetwork:
         # weight snapshot is captured once instead of per install.
         self._reuse_depth = 0
         self._scratch_holds: Optional[Tuple[int, ...]] = None
-        self._software_snapshot: Optional[List[Dict[str, hxp.ndarray]]] = None
+        self._software_snapshot: Optional[List[Dict[str, np.ndarray]]] = None
 
     # -- mapping --------------------------------------------------------
     def map_network(
         self,
         policy=None,
-        selection_data: Optional[Tuple[hxp.ndarray, hxp.ndarray]] = None,
+        selection_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         """Map every weighted layer to hardware under ``policy``.
 
@@ -355,9 +354,13 @@ class MappedNetwork:
         already-selected layers at their predicted weights.
         """
         policy = policy if policy is not None else FreshMapper()
-        predicted: Dict[int, hxp.ndarray] = {}
+        aging_aware = hasattr(policy, "candidate_uppers")
+        if aging_aware:
+            # The mapper's history records this call only.
+            policy.history = []
+        predicted: Dict[int, np.ndarray] = {}
         for mapped in self.layers:
-            if hasattr(policy, "candidate_uppers") and selection_data is not None:
+            if aging_aware and selection_data is not None:
                 x_sel, y_sel = selection_data
                 n = min(len(x_sel), getattr(policy, "selection_batch", 128))
 
@@ -367,7 +370,7 @@ class MappedNetwork:
                     return self._accuracy_with_matrices(trial, x_sel[:n], y_sel[:n])
 
                 r_lo, r_hi = policy.select_range(mapped, score)
-            elif hasattr(policy, "candidate_uppers"):
+            elif aging_aware:
                 r_lo, r_hi = policy.select_range(mapped, None)
             else:
                 r_lo, r_hi = policy.select_range(mapped)
@@ -420,7 +423,7 @@ class MappedNetwork:
                     return False
         return True
 
-    def _install_matrices(self, matrices: Dict[int, hxp.ndarray]) -> Sequential:
+    def _install_matrices(self, matrices: Dict[int, np.ndarray]) -> Sequential:
         """Scratch model with given device matrices, software elsewhere."""
         # Installing arbitrary matrices (e.g. candidate-scoring trials)
         # invalidates any memoized hardware state in the scratch model.
@@ -439,7 +442,7 @@ class MappedNetwork:
         return self._scratch
 
     def _accuracy_with_matrices(
-        self, matrices: Dict[int, hxp.ndarray], x: hxp.ndarray, y: hxp.ndarray
+        self, matrices: Dict[int, np.ndarray], x: np.ndarray, y: np.ndarray
     ) -> float:
         return self._install_matrices(matrices).score(x, y)
 
@@ -472,18 +475,18 @@ class MappedNetwork:
             self._scratch_holds = key
         return model
 
-    def evaluate(self, x: hxp.ndarray, y: hxp.ndarray) -> Tuple[float, float]:
+    def evaluate(self, x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
         """``(loss, accuracy)`` of the hardware-mapped network."""
         return self.effective_model().evaluate(x, y)
 
-    def score(self, x: hxp.ndarray, y: hxp.ndarray) -> float:
+    def score(self, x: np.ndarray, y: np.ndarray) -> float:
         """Hardware classification accuracy."""
         return self.evaluate(x, y)[1]
 
     # -- tuning support ---------------------------------------------------------
     def gradient_sign_matrices(
-        self, x: hxp.ndarray, y: hxp.ndarray
-    ) -> Dict[int, hxp.ndarray]:
+        self, x: np.ndarray, y: np.ndarray
+    ) -> Dict[int, np.ndarray]:
         """dCost/dW per mapped layer, evaluated at the *hardware* weights.
 
         The online tuning controller computes derivatives in software
@@ -492,9 +495,9 @@ class MappedNetwork:
         happens in :meth:`MappedLayer.apply_gradient_signs`.
         """
         scratch = self.effective_model()
-        pred = scratch.forward(hxp.asarray(x, dtype=hxp.float64), training=False)
-        scratch.backward(scratch.loss.gradient(pred, hxp.asarray(y, dtype=hxp.float64)))
-        out: Dict[int, hxp.ndarray] = {}
+        pred = scratch.forward(np.asarray(x, dtype=np.float64), training=False)
+        scratch.backward(scratch.loss.gradient(pred, np.asarray(y, dtype=np.float64)))
+        out: Dict[int, np.ndarray] = {}
         for mapped in self.layers:
             grad_kernel = scratch.layers[mapped.layer_index].grads["W"]
             out[mapped.layer_index] = (
@@ -506,7 +509,7 @@ class MappedNetwork:
 
     def apply_tuning_sweep(
         self,
-        grads: Dict[int, hxp.ndarray],
+        grads: Dict[int, np.ndarray],
         threshold: float,
         step_fraction: float,
         mask_dead: bool = False,
@@ -526,7 +529,7 @@ class MappedNetwork:
             if mask_dead:
                 dead = mapped.dead_device_mask()
                 if dead.any():
-                    grad = hxp.where(dead, 0.0, grad)
+                    grad = np.where(dead, 0.0, grad)
             pulsed += mapped.apply_gradient_signs(grad, threshold, step_fraction)
         return pulsed
 

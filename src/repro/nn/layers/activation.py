@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.backend import hxp
-
+import numpy as np
 from repro.nn.activations import get_activation
 from repro.nn.layers.base import Layer
 
@@ -14,15 +13,15 @@ class Activation(Layer):
     def __init__(self, fn) -> None:
         super().__init__()
         self.fn = get_activation(fn)
-        self._x: hxp.ndarray | None = None
-        self._y: hxp.ndarray | None = None
+        self._x: np.ndarray | None = None
+        self._y: np.ndarray | None = None
 
-    def forward(self, x: hxp.ndarray, training: bool = False) -> hxp.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x = x
         self._y = self.fn.forward(x)
         return self._y
 
-    def backward(self, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._x is not None and self._y is not None
         return self.fn.backward(self._x, self._y, grad)
 

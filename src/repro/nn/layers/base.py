@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.backend import hxp
-
+import numpy as np
 from repro.rng import SeedLike, ensure_rng
 
 
@@ -47,20 +46,20 @@ class Layer:
         return self.input_shape
 
     # -- compute --------------------------------------------------------
-    def forward(self, x: hxp.ndarray, training: bool = False) -> hxp.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # -- parameters ------------------------------------------------------
     @property
-    def params(self) -> Dict[str, hxp.ndarray]:
+    def params(self) -> Dict[str, np.ndarray]:
         """Named parameter tensors (empty for parameter-free layers)."""
         return {}
 
     @property
-    def grads(self) -> Dict[str, hxp.ndarray]:
+    def grads(self) -> Dict[str, np.ndarray]:
         """Named gradient tensors matching :attr:`params`."""
         return {}
 
@@ -82,16 +81,16 @@ class ParamLayer(Layer):
 
     def __init__(self) -> None:
         super().__init__()
-        self._params: Dict[str, hxp.ndarray] = {}
-        self._grads: Dict[str, hxp.ndarray] = {}
+        self._params: Dict[str, np.ndarray] = {}
+        self._grads: Dict[str, np.ndarray] = {}
         self._regularized: List[str] = []
 
     @property
-    def params(self) -> Dict[str, hxp.ndarray]:
+    def params(self) -> Dict[str, np.ndarray]:
         return self._params
 
     @property
-    def grads(self) -> Dict[str, hxp.ndarray]:
+    def grads(self) -> Dict[str, np.ndarray]:
         return self._grads
 
     @property
@@ -105,20 +104,20 @@ class ParamLayer(Layer):
         initializer,
         rng: SeedLike = None,
         regularize: bool = False,
-    ) -> hxp.ndarray:
+    ) -> np.ndarray:
         """Allocate parameter ``name`` and its zero gradient slot."""
         rng = ensure_rng(rng)
-        value = hxp.asarray(initializer(shape, rng), dtype=hxp.float64)
+        value = np.asarray(initializer(shape, rng), dtype=np.float64)
         self._params[name] = value
-        self._grads[name] = hxp.zeros_like(value)
+        self._grads[name] = np.zeros_like(value)
         if regularize and name not in self._regularized:
             self._regularized.append(name)
         return value
 
-    def set_param(self, name: str, value: hxp.ndarray) -> None:
+    def set_param(self, name: str, value: np.ndarray) -> None:
         """Replace parameter ``name`` in place (shape must match)."""
         current = self._params[name]
-        value = hxp.asarray(value, dtype=hxp.float64)
+        value = np.asarray(value, dtype=np.float64)
         if value.shape != current.shape:
             raise ValueError(
                 f"shape mismatch for param {name!r}: {value.shape} != {current.shape}"

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from repro.core.backend import hxp
-
+import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.rng import SeedLike, ensure_rng
 from repro.nn.layers.base import Layer
@@ -23,9 +22,9 @@ class Dropout(Layer):
             raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = float(rate)
         self._rng = ensure_rng(seed)
-        self._mask: hxp.ndarray | None = None
+        self._mask: np.ndarray | None = None
 
-    def forward(self, x: hxp.ndarray, training: bool = False) -> hxp.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if not training or self.rate == 0.0:
             self._mask = None
             return x
@@ -33,7 +32,7 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def backward(self, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._mask is None:
             return grad
         return grad * self._mask

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.backend import hxp
-
+import numpy as np
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers.base import Layer
 from repro.rng import SeedLike
@@ -38,7 +37,7 @@ class _Pool2D(Layer):
         ow = (w - self.pool_size) // self.stride + 1
         return (c, oh, ow)
 
-    def _windows(self, x: hxp.ndarray) -> hxp.ndarray:
+    def _windows(self, x: np.ndarray) -> np.ndarray:
         """View of ``x`` as (n, c, oh, ow, k, k) pooling windows."""
         n, c, h, w = x.shape
         k, s = self.pool_size, self.stride
@@ -51,7 +50,7 @@ class _Pool2D(Layer):
             x.strides[2],
             x.strides[3],
         )
-        return hxp.lib.stride_tricks.as_strided(
+        return np.lib.stride_tricks.as_strided(
             x, shape=(n, c, oh, ow, k, k), strides=strides, writeable=False
         )
 
@@ -62,7 +61,7 @@ class _Pool2D(Layer):
 class MaxPool2D(_Pool2D):
     """Max pooling; backward routes the gradient to each window argmax."""
 
-    def forward(self, x: hxp.ndarray, training: bool = False) -> hxp.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x_shape = x.shape
         windows = self._windows(x)
         n, c, oh, ow, k, _ = windows.shape
@@ -70,31 +69,31 @@ class MaxPool2D(_Pool2D):
         self._argmax = flat.argmax(axis=-1)
         return flat.max(axis=-1)
 
-    def backward(self, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         n, c, h, w = self._x_shape
         k, s = self.pool_size, self.stride
         _, oh, ow = self.output_shape()
-        dx = hxp.zeros(self._x_shape, dtype=grad.dtype)
+        dx = np.zeros(self._x_shape, dtype=grad.dtype)
         # Scatter each window's gradient to its argmax position.
-        ni, ci, oi, oj = hxp.indices((n, c, oh, ow))
-        di, dj = hxp.divmod(self._argmax, k)
-        hxp.add.at(dx, (ni, ci, oi * s + di, oj * s + dj), grad)
+        ni, ci, oi, oj = np.indices((n, c, oh, ow))
+        di, dj = np.divmod(self._argmax, k)
+        np.add.at(dx, (ni, ci, oi * s + di, oj * s + dj), grad)
         return dx
 
 
 class AvgPool2D(_Pool2D):
     """Average pooling; backward spreads the gradient uniformly."""
 
-    def forward(self, x: hxp.ndarray, training: bool = False) -> hxp.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x_shape = x.shape
         windows = self._windows(x)
         return windows.mean(axis=(-1, -2))
 
-    def backward(self, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         n, c, h, w = self._x_shape
         k, s = self.pool_size, self.stride
         _, oh, ow = self.output_shape()
-        dx = hxp.zeros(self._x_shape, dtype=grad.dtype)
+        dx = np.zeros(self._x_shape, dtype=grad.dtype)
         share = grad / (k * k)
         for di in range(k):
             for dj in range(k):

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.core.backend import hxp
-
+import numpy as np
 from repro.nn.layers.base import Layer
 
 
@@ -14,11 +13,11 @@ class Flatten(Layer):
 
     def output_shape(self) -> Tuple[int, ...]:
         assert self.input_shape is not None
-        return (int(hxp.prod(self.input_shape)),)
+        return (int(np.prod(self.input_shape)),)
 
-    def forward(self, x: hxp.ndarray, training: bool = False) -> hxp.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._x_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad.reshape(self._x_shape)

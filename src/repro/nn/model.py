@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.backend import hxp
-
+import numpy as np
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.layers.base import Layer
 from repro.nn.losses import Loss, SoftmaxCrossEntropy
@@ -130,14 +129,14 @@ class Sequential:
         return "\n".join(lines)
 
     # -- forward/backward ---------------------------------------------------
-    def forward(self, x: hxp.ndarray, training: bool = False) -> hxp.ndarray:
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._require_built()
-        out = hxp.asarray(x, dtype=hxp.float64)
+        out = np.asarray(x, dtype=np.float64)
         for layer in self.layers:
             out = layer.forward(out, training=training)
         return out
 
-    def backward(self, grad: hxp.ndarray) -> hxp.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
@@ -161,7 +160,7 @@ class Sequential:
             for name in layer.regularized:
                 layer.grads[name] += reg.gradient(layer.params[name])
 
-    def compute_gradients(self, x: hxp.ndarray, y: hxp.ndarray) -> float:
+    def compute_gradients(self, x: np.ndarray, y: np.ndarray) -> float:
         """One forward+backward pass; fills every ``layer.grads``.
 
         Returns the total cost (data loss + regularization).  Does *not*
@@ -174,7 +173,7 @@ class Sequential:
         self._apply_regularizer_grads()
         return data_loss + self.regularization_penalty()
 
-    def train_batch(self, x: hxp.ndarray, y: hxp.ndarray) -> float:
+    def train_batch(self, x: np.ndarray, y: np.ndarray) -> float:
         """One optimizer step on a minibatch; returns the total cost."""
         cost = self.compute_gradients(x, y)
         self.optimizer.begin_step()
@@ -186,19 +185,19 @@ class Sequential:
     # -- high-level API ----------------------------------------------------
     def fit(
         self,
-        x: hxp.ndarray,
-        y: hxp.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
         epochs: int = 10,
         batch_size: int = 32,
-        validation_data: Optional[Tuple[hxp.ndarray, hxp.ndarray]] = None,
+        validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         schedule: Optional[Schedule] = None,
         shuffle: bool = True,
         verbose: bool = False,
     ) -> TrainingHistory:
         """Minibatch training loop; returns per-epoch history."""
         self._require_built()
-        x = hxp.asarray(x, dtype=hxp.float64)
-        y = hxp.asarray(y, dtype=hxp.float64)
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
         if len(x) != len(y):
             raise ShapeError(f"x has {len(x)} samples but y has {len(y)}")
         if batch_size < 1:
@@ -208,7 +207,7 @@ class Sequential:
         for epoch in range(epochs):
             if schedule is not None:
                 self.optimizer.lr = schedule(epoch)
-            order = self._rng.permutation(n) if shuffle else hxp.arange(n)
+            order = self._rng.permutation(n) if shuffle else np.arange(n)
             epoch_cost = 0.0
             n_batches = 0
             for start in range(0, n, batch_size):
@@ -233,37 +232,37 @@ class Sequential:
                 print(msg)
         return history
 
-    def predict(self, x: hxp.ndarray, batch_size: int = 256) -> hxp.ndarray:
+    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Model outputs (logits) for ``x``, computed in batches."""
-        x = hxp.asarray(x, dtype=hxp.float64)
+        x = np.asarray(x, dtype=np.float64)
         outputs = [
             self.forward(x[start : start + batch_size], training=False)
             for start in range(0, len(x), batch_size)
         ]
-        return hxp.concatenate(outputs, axis=0)
+        return np.concatenate(outputs, axis=0)
 
-    def predict_classes(self, x: hxp.ndarray, batch_size: int = 256) -> hxp.ndarray:
+    def predict_classes(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Argmax class indices for ``x``."""
         return self.predict(x, batch_size=batch_size).argmax(axis=1)
 
     def evaluate(
-        self, x: hxp.ndarray, y: hxp.ndarray, batch_size: int = 256
+        self, x: np.ndarray, y: np.ndarray, batch_size: int = 256
     ) -> Tuple[float, float]:
         """``(data_loss, accuracy)`` on a labelled set."""
         pred = self.predict(x, batch_size=batch_size)
-        y = hxp.asarray(y, dtype=hxp.float64)
+        y = np.asarray(y, dtype=np.float64)
         return self.loss.value(pred, y), accuracy(pred, y)
 
-    def score(self, x: hxp.ndarray, y: hxp.ndarray, batch_size: int = 256) -> float:
+    def score(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:
         """Classification accuracy on a labelled set."""
         return self.evaluate(x, y, batch_size=batch_size)[1]
 
     # -- weight snapshots -----------------------------------------------------
-    def get_weights(self) -> List[Dict[str, hxp.ndarray]]:
+    def get_weights(self) -> List[Dict[str, np.ndarray]]:
         """Copy of every layer's parameters (list indexed like layers)."""
         return [{k: v.copy() for k, v in layer.params.items()} for layer in self.layers]
 
-    def set_weights(self, weights: List[Dict[str, hxp.ndarray]]) -> None:
+    def set_weights(self, weights: List[Dict[str, np.ndarray]]) -> None:
         """Restore parameters from a :meth:`get_weights` snapshot."""
         if len(weights) != len(self.layers):
             raise ShapeError(
@@ -273,7 +272,7 @@ class Sequential:
             for name, value in snap.items():
                 layer.params[name][...] = value
 
-    def all_weight_values(self) -> hxp.ndarray:
+    def all_weight_values(self) -> np.ndarray:
         """All regularizable weights concatenated into one flat vector.
 
         Used by distribution analyses (Fig. 3/6/9) and by the
@@ -284,7 +283,7 @@ class Sequential:
             for _idx, layer in self.weighted_layers()
             for name in layer.regularized
         ]
-        return hxp.concatenate(chunks) if chunks else hxp.empty(0, dtype=hxp.float64)
+        return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.float64)
 
     def _require_built(self) -> None:
         if not self.built:

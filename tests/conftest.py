@@ -9,6 +9,10 @@ blocks).
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,34 @@ from repro.device import DeviceConfig
 from repro.mapping import MappedNetwork
 from repro.nn import Activation, Adam, Dense, Sequential
 from repro.training import TrainConfig, train_baseline
+
+
+#: Seconds a test's child processes and threads get to finish on their own.
+LEAK_GRACE_S = 2.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_processes_or_threads():
+    """Fail any test that leaves a child process or non-daemon thread alive.
+
+    Whatever a test starts must be reaped before it returns; a straggler
+    gets a short join grace, then counts as a leak.
+    """
+    procs_before = set(multiprocessing.active_children())
+    threads_before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + LEAK_GRACE_S
+    procs = [p for p in multiprocessing.active_children() if p not in procs_before]
+    threads = [
+        t
+        for t in threading.enumerate()
+        if t not in threads_before and not t.daemon
+    ]
+    for worker in procs + threads:
+        worker.join(max(0.0, deadline - time.monotonic()))
+    leaked = [w for w in procs + threads if w.is_alive()]
+    if leaked:
+        pytest.fail(f"test leaked live child processes/threads: {leaked!r}")
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ its siblings down, a hung task is reclaimed by its timeout, and corrupt
 cache entries are quarantined rather than silently re-missed forever.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -143,6 +144,17 @@ class TestTimeout:
         assert not outcomes[0].ok
         assert "timeout" in outcomes[0].error.lower()
         assert outcomes[1].ok and outcomes[1].value == 25
+
+    def test_timed_out_worker_does_not_outlive_run(self):
+        executor = ParallelExecutor(workers=2)
+        outcomes = executor.run(
+            [
+                Task(key="hung", fn=_hang, args=(0,), timeout=1.0),
+                Task(key="good", fn=_square, args=(3,)),
+            ]
+        )
+        assert not outcomes[0].ok and outcomes[1].value == 9
+        assert multiprocessing.active_children() == []
 
     def test_executor_wide_timeout_applies_to_all_tasks(self):
         executor = ParallelExecutor(workers=2, task_timeout=1.0)

@@ -96,6 +96,9 @@ class TestAgingAwareIntegration:
         net.map_network(mapper, selection_data=(blob_dataset.x_train[:64], blob_dataset.y_train[:64]))
         assert len(mapper.history) == len(net.layers)
         assert net.score(blob_dataset.x_test, blob_dataset.y_test) > 0.85
+        # History holds the most recent call only; a remap replaces it.
+        net.map_network(mapper, selection_data=(blob_dataset.x_train[:64], blob_dataset.y_train[:64]))
+        assert len(mapper.history) == len(net.layers)
 
     def test_aging_aware_map_without_selection_data(self, trained_mlp, device_config):
         net = MappedNetwork(trained_mlp, device_config, seed=9)
