@@ -14,12 +14,11 @@ lifetime simulations), run five ways —
 
 **Big grid** (>= 64 points: 2 fault kinds x 16 rates x degradation
 {off, on} + baseline), where per-point pool overhead used to erase the
-parallel win (0.99x) — run three ways:
+parallel win (0.99x) — run two ways:
 
 * serial;
-* parallel, ``chunk_size=1``: the historical one-future-per-point path;
-* parallel, adaptive chunking (the default): points are grouped into
-  chunked pool submissions that amortize serialization/IPC;
+* parallel: the executor groups points into adaptive chunked pool
+  submissions that amortize serialization/IPC;
 
 plus a **service arm**: the same big grid submitted as a campaign job
 and drained by worker processes through the shared journal/lease
@@ -177,25 +176,17 @@ def standard_grid_arms(repo_root: pathlib.Path) -> dict:
 
 
 def big_grid_arms() -> dict:
-    """Chunked vs unchunked pool submission on a >= 64-point grid."""
+    """Chunked parallel vs serial on a >= 64-point grid."""
     points = build_grid(kinds=("stuck_at", "drift"), rates=BIG_RATES, window=1)
     serial, t_serial = timed_run(points, workers=1)
-    unchunked, t_unchunked = timed_run(points, workers=WORKERS, chunk_size=1)
-    chunked, t_chunked = timed_run(points, workers=WORKERS, chunk_size=None)
-    identical = (
-        unchunked.to_dict() == serial.to_dict()
-        and chunked.to_dict() == serial.to_dict()
-    )
+    chunked, t_chunked = timed_run(points, workers=WORKERS)
     return {
         "grid_points": len(points),
         "serial_seconds": round(t_serial, 3),
         "parallel_workers": WORKERS,
-        "unchunked_seconds": round(t_unchunked, 3),
         "chunked_seconds": round(t_chunked, 3),
-        "speedup_unchunked_vs_serial": round(t_serial / t_unchunked, 2),
         "speedup_chunked_vs_serial": round(t_serial / t_chunked, 2),
-        "speedup_chunked_vs_unchunked": round(t_unchunked / t_chunked, 2),
-        "reports_identical_across_modes": identical,
+        "reports_identical_across_modes": chunked.to_dict() == serial.to_dict(),
         "serial_reference": serial.to_dict(),
     }
 

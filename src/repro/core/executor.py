@@ -19,20 +19,14 @@ Three pieces live here:
   re-running an unchanged scenario configuration is instant;
 * :class:`ParallelExecutor` — runs a list of :class:`Task` objects
   serially (``workers <= 1``) or across worker processes, consulting
-  the cache first and capturing per-task failures (a crashing worker
-  surfaces as a failed task, never a hung pool).
+  the cache first and capturing per-task failures.
 
-Resilience (used by the fault-injection campaigns of
-:mod:`repro.robustness`, where worker failures are part of the job):
-
-* :class:`RetryPolicy` — bounded re-execution of failed tasks with
-  exponential backoff, for transient worker failures;
-* per-task timeouts (``Task.timeout`` or the executor-wide
-  ``task_timeout``), enforced in parallel mode;
-* pool reconstruction — when a worker dies hard (``BrokenProcessPool``)
-  or a task times out, the pool is rebuilt and the *sibling* in-flight
-  tasks are resubmitted at no retry cost, so one poisoned task can no
-  longer fail its whole batch.
+Failure policy: every task runs once.  A raising task fails alone.  A
+task that kills its worker process fails alone too: when the pool
+breaks, every task whose result was lost is re-run by itself in a
+one-worker pool, and only a task that breaks that pool again is charged
+with the ``BrokenProcessPool`` error.  Retrying is left to the campaign
+service (:class:`RetryPolicy` and the lease board), never done here.
 
 Tasks are shipped to workers with :mod:`cloudpickle` when available, so
 closures and lambdas (ubiquitous in presets and test fixtures) work;
@@ -47,8 +41,7 @@ import logging
 import os
 import time
 import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -217,15 +210,17 @@ class ResultCache:
 # -- retry policy -------------------------------------------------------------
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded re-execution of failed tasks with exponential backoff.
+    """Bounded retries with exponential backoff, for in-process calls.
 
-    A task that raises (or whose worker dies) is re-run up to
-    ``max_retries`` further times; before the *n*-th retry the executor
-    sleeps ``min(backoff_max, backoff_base * 2**(n-1))`` seconds.
-    Retries re-run the identical payload, so for derivation-seeded tasks
-    a retried success is bit-identical to a first-attempt success —
-    retrying can only recover *transient* infrastructure failures
-    (OOM-killed worker, flaky filesystem), never change a result.
+    :meth:`call` re-runs a raising callable up to ``max_retries``
+    further times; before the *n*-th retry it sleeps
+    ``min(backoff_max, backoff_base * 2**(n-1))`` seconds.  The campaign
+    service uses it for point execution and for its HTTP client; the
+    :class:`ParallelExecutor` never retries.  Retries re-run the
+    identical payload, so for derivation-seeded work a retried success
+    is bit-identical to a first-attempt success — retrying can only
+    recover *transient* infrastructure failures (flaky filesystem,
+    dropped connection), never change a result.
 
     ``jitter`` (a fraction in ``[0, 1]``) spreads the delays of
     simultaneous retriers: the backoff is scaled by a factor drawn
@@ -282,9 +277,8 @@ class RetryPolicy:
     ) -> Any:
         """Run ``fn()`` with this policy's retry schedule applied.
 
-        The generic in-process counterpart of the executor's task
-        retries, shared by the service worker (point execution) and the
-        HTTP client (transient network errors).  ``retryable`` filters
+        Shared by the service worker (point execution) and the HTTP
+        client (transient network errors).  ``retryable`` filters
         which exceptions are worth another attempt — anything it
         rejects (or every exception, once ``max_retries`` is exhausted)
         propagates unchanged.
@@ -302,6 +296,8 @@ class RetryPolicy:
                 time.sleep(self.delay(failures, token=token))
 
 
+
+
 # -- tasks --------------------------------------------------------------------
 @dataclass
 class Task:
@@ -310,10 +306,7 @@ class Task:
     ``key`` is a human-readable purpose key (also the outcome label);
     ``cache_key`` is the full content-hash key (``None`` disables
     caching for this task).  ``encode``/``decode`` convert the result to
-    and from a JSON-serializable payload for the cache.  ``timeout``
-    (seconds) bounds one execution attempt of this task — enforced in
-    parallel mode, where a hung worker can be reclaimed; serial
-    in-process execution cannot be preempted and ignores it.
+    and from a JSON-serializable payload for the cache.
     """
 
     key: str
@@ -323,7 +316,6 @@ class Task:
     cache_key: Optional[str] = None
     encode: Optional[Callable[[Any], Any]] = None
     decode: Optional[Callable[[Any], Any]] = None
-    timeout: Optional[float] = None
     #: Content-hash key under which a completed result is journaled
     #: (crash-safe resume of campaign/sweep grids); falls back to
     #: ``cache_key``.  ``None`` on both disables journaling for the task.
@@ -337,26 +329,15 @@ class TaskOutcome:
     key: str
     value: Any = None
     error: Optional[str] = None
+    #: Time the task itself ran (0.0 when its worker process died).
     seconds: float = 0.0
     cached: bool = False
     #: True when the value was replayed from a crash-safe run journal.
     journaled: bool = False
-    #: Execution attempts consumed (0 for cache hits).
-    attempts: int = 0
 
     @property
     def ok(self) -> bool:
         return self.error is None
-
-
-def _invoke_payload(payload: bytes) -> bytes:
-    """Worker-side trampoline: deserialize, run, reserialize.
-
-    Module-level so the stdlib pool can always pickle *it*; the real
-    callable travels inside ``payload`` via cloudpickle.
-    """
-    fn, args, kwargs = _serializer.loads(payload)
-    return _serializer.dumps(fn(*args, **kwargs))
 
 
 def adaptive_chunk_size(
@@ -372,8 +353,7 @@ def adaptive_chunk_size(
     parallel win (BENCH_campaign's historical 0.99x).  Chunking
     amortizes it while still leaving each worker ``oversubscribe``
     chunks on average, so the tail of an uneven grid stays balanced.
-    Small grids degrade to one point per task — exactly the historical
-    behaviour.
+    Small grids degrade to one point per task.
     """
     if n_tasks <= 0:
         return 1
@@ -381,29 +361,36 @@ def adaptive_chunk_size(
     return max(1, min(max_chunk, -(-n_tasks // per_worker)))
 
 
-def _run_task_chunk(blobs: List[bytes]) -> list:
-    """Worker-side trampoline for a *chunk* of tasks.
+def _run_task_chunk(blobs: List[bytes]) -> List[bytes]:
+    """Worker-side trampoline: run a chunk of serialized tasks in order.
 
-    Runs each serialized ``(fn, args, kwargs)`` payload in order and
-    captures per-task failures, so one raising task cannot poison its
-    chunk-mates.  Returns ``(True, value)`` or ``(False, exception,
-    traceback_text)`` per task; exceptions that refuse to serialize are
-    downgraded to a ``RuntimeError`` carrying their repr, keeping the
-    chunk result transportable.
+    Module-level so the stdlib pool can always pickle *it*; each task's
+    ``(fn, args, kwargs)`` travels inside its blob via cloudpickle, and
+    its entry travels back the same way: ``(True, value, seconds, None)``
+    or ``(False, exception, seconds, traceback_text)``.  Failures are
+    captured per task, so one raising task cannot poison its
+    chunk-mates, and ``seconds`` times the task alone.  An exception
+    that refuses to serialize is downgraded to a ``RuntimeError``
+    carrying its repr, keeping the entry transportable.
     """
-    out: list = []
+    out: List[bytes] = []
     for blob in blobs:
-        fn, args, kwargs = _serializer.loads(blob)
+        start = time.perf_counter()
         try:
-            out.append((True, fn(*args, **kwargs)))
+            fn, args, kwargs = _serializer.loads(blob)
+            value = fn(*args, **kwargs)
+            out.append(
+                _serializer.dumps((True, value, time.perf_counter() - start, None))
+            )
         except Exception as exc:
+            seconds = time.perf_counter() - start
             text = traceback.format_exc(limit=8)
             exc.__traceback__ = None  # frames are not transportable
             try:
                 _serializer.dumps(exc)
             except Exception:
                 exc = RuntimeError(f"unserializable task exception: {exc!r}")
-            out.append((False, exc, text))
+            out.append(_serializer.dumps((False, exc, seconds, text)))
     return out
 
 
@@ -418,54 +405,26 @@ class ParallelExecutor:
     bit-identical.  Results are returned in task order regardless of
     completion order.
 
-    ``retry`` enables bounded re-execution of failed tasks with
-    exponential backoff (both modes).  ``task_timeout`` bounds each
-    execution attempt (parallel mode; a per-task ``Task.timeout``
-    overrides it).  In parallel mode a hard worker death or a timeout
-    triggers pool reconstruction — bounded by ``max_pool_rebuilds`` —
-    and the unaffected in-flight tasks are resubmitted without
-    consuming one of their retries.
-
-    ``chunk_size`` groups tasks into one pool submission each
-    (``None`` picks :func:`adaptive_chunk_size` automatically, ``1``
-    forces the historical one-future-per-task behaviour).  Chunking
-    only changes *scheduling*: every task still runs the same function
-    with the same derivation-based randomness, so chunked results are
-    bit-identical to unchunked and serial ones.  A per-task timeout
-    inside a chunk becomes a chunk-level budget (the sum over its
-    tasks), since a chunk is the smallest preemptible unit.
+    Every task runs once.  In parallel mode the pending tasks are
+    grouped into chunks of :func:`adaptive_chunk_size` (one task per
+    chunk for small grids) and each chunk is one pool submission.  If a
+    worker dies hard, chunks that already finished keep their results;
+    every member of a lost chunk is a *suspect* and is re-run alone in a
+    one-worker pool.  A suspect that breaks that pool is the crasher and
+    fails with the ``BrokenProcessPool`` error; the pool is rebuilt for
+    the next suspect, so the rebuilds are bounded by the suspects.
     """
 
     def __init__(
         self,
         workers: int = 1,
         cache: Optional[ResultCache] = None,
-        retry: Optional[RetryPolicy] = None,
-        task_timeout: Optional[float] = None,
-        max_pool_rebuilds: int = 3,
         journal: Optional["RunJournal"] = None,
-        chunk_size: Optional[int] = None,
     ) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ConfigurationError(
-                f"task_timeout must be > 0, got {task_timeout}"
-            )
-        if max_pool_rebuilds < 0:
-            raise ConfigurationError(
-                f"max_pool_rebuilds must be >= 0, got {max_pool_rebuilds}"
-            )
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1 (or None for auto), got {chunk_size}"
-            )
         self.workers = int(workers)
         self.cache = cache
-        self.retry = retry
-        self.task_timeout = task_timeout
-        self.max_pool_rebuilds = int(max_pool_rebuilds)
-        self.chunk_size = chunk_size
         #: Optional :class:`repro.core.checkpoint.RunJournal`.  Tasks
         #: whose journal key (``Task.journal_key`` or ``cache_key``) is
         #: already journaled are replayed without executing; completed
@@ -479,9 +438,9 @@ class ParallelExecutor:
         With ``reraise=False`` a failing task's exception is captured in
         its outcome's ``error`` (traceback text) and the other tasks
         still complete — including when a worker process dies, which
-        surfaces as a ``BrokenProcessPool`` error on the affected task
-        rather than a hang.  With ``reraise=True`` the first failure
-        (in task order, after any retries) propagates to the caller.
+        surfaces as a ``BrokenProcessPool`` error on the task that
+        killed it rather than a hang.  With ``reraise=True`` the first
+        failure (in task order) propagates to the caller.
         """
         outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
         pending: List[int] = []
@@ -519,21 +478,17 @@ class ParallelExecutor:
                 self.cache.put(task.cache_key, payload)
         return outcomes  # type: ignore[return-value]
 
-    @property
-    def _max_attempts(self) -> int:
-        return (self.retry.max_retries if self.retry is not None else 0) + 1
-
     def _journal_key(self, task: Task) -> Optional[str]:
         if self.journal is None:
             return None
         return task.journal_key or task.cache_key
 
     def _journal_record(self, task: Task, value: Any) -> None:
-        """Durably append a completed task the moment it succeeds.
+        """Durably append a completed task.
 
-        Called per task (serial) or per retry round (parallel), not
-        after the whole batch — the crash-safety granularity the journal
-        exists for.
+        Called per task (serial) or once the pool round is collected
+        (parallel), not after the whole ``run`` — the crash-safety
+        granularity the journal exists for.
         """
         journal_key = self._journal_key(task)
         if journal_key is None:
@@ -569,49 +524,36 @@ class ParallelExecutor:
                 outcomes[idx] = replayed
                 continue
             start = time.perf_counter()
-            for attempt in range(1, self._max_attempts + 1):
-                try:
-                    value = task.fn(*task.args, **task.kwargs)
-                    outcomes[idx] = TaskOutcome(
-                        task.key,
-                        value=value,
-                        seconds=time.perf_counter() - start,
-                        attempts=attempt,
-                    )
-                    self._journal_record(task, value)
-                    break
-                except Exception:
-                    if attempt < self._max_attempts:
-                        logger.warning(
-                            "task %r failed (attempt %d/%d); retrying",
-                            task.key,
-                            attempt,
-                            self._max_attempts,
-                        )
-                        time.sleep(self.retry.delay(attempt, token=task.key))
-                        continue
-                    if reraise:
-                        raise
-                    outcomes[idx] = TaskOutcome(
-                        task.key,
-                        error=traceback.format_exc(limit=8),
-                        seconds=time.perf_counter() - start,
-                        attempts=attempt,
-                    )
+            try:
+                value = task.fn(*task.args, **task.kwargs)
+            except Exception:
+                if reraise:
+                    raise
+                outcomes[idx] = TaskOutcome(
+                    task.key,
+                    error=traceback.format_exc(limit=8),
+                    seconds=time.perf_counter() - start,
+                )
+                continue
+            outcomes[idx] = TaskOutcome(
+                task.key, value=value, seconds=time.perf_counter() - start
+            )
+            self._journal_record(task, value)
 
     # -- parallel path ----------------------------------------------------
-    def _make_pool(self, n_tasks: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=min(self.workers, max(1, n_tasks)))
+    def _make_pool(self, n_chunks: int) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=min(self.workers, max(1, n_chunks)))
 
     @staticmethod
     def _destroy_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a (possibly broken or hung) pool down without blocking.
+        """Tear a broken pool down without blocking.
 
-        Worker processes are terminated explicitly: after a timeout the
-        worker is still busy with the abandoned task, and ``shutdown``
-        alone would leave it running until interpreter exit.  The
-        process table is snapshotted first because ``shutdown`` drops
-        it; survivors of ``terminate`` are killed after a short grace.
+        Worker processes are terminated explicitly: after one worker
+        dies, its siblings may still be busy with chunks whose results
+        are already lost, and ``shutdown`` alone would leave them
+        running until interpreter exit.  The process table is
+        snapshotted first because ``shutdown`` drops it; survivors of
+        ``terminate`` are killed after a short grace.
         """
         procs = list((getattr(pool, "_processes", None) or {}).values())
         try:
@@ -633,228 +575,89 @@ class ParallelExecutor:
         if manager is not None:
             manager.join(_TERMINATE_GRACE_S)
 
-    def _effective_timeout(self, task: Task) -> Optional[float]:
-        return task.timeout if task.timeout is not None else self.task_timeout
-
-    def _run_round(self, tasks, todo, pool, rebuilds_left):
-        """Execute each task in ``todo`` exactly one attempt.
-
-        Returns ``(results, pool, rebuilds_left)`` where ``results`` maps
-        task index to ``(ok, value_or_exception)``.  A broken pool or a
-        timed-out task triggers pool reconstruction; sibling tasks whose
-        futures were lost are resubmitted within the same round (their
-        attempt has not been consumed by someone else's failure).
-        """
-        results: Dict[int, Tuple[bool, Any]] = {}
-        waiting = list(todo)
-        while waiting:
-            futures = {}
-            submit_broken = False
-            submitted_at = time.monotonic()
-            for idx in waiting:
-                task = tasks[idx]
-                blob = _serializer.dumps((task.fn, task.args, task.kwargs))
-                try:
-                    futures[idx] = pool.submit(_invoke_payload, blob)
-                except BrokenExecutor as exc:
-                    # Pool already dead at submit time; record the failure
-                    # and force a rebuild below.
-                    results[idx] = (False, exc)
-                    submit_broken = True
-            order = [idx for idx in waiting if idx in futures]
-            waiting = []
-            broken_at: Optional[int] = None
-            for pos, idx in enumerate(order):
-                timeout = self._effective_timeout(tasks[idx])
-                try:
-                    if timeout is None:
-                        raw = futures[idx].result()
-                    else:
-                        remaining = submitted_at + timeout - time.monotonic()
-                        raw = futures[idx].result(timeout=max(remaining, 0.0))
-                    results[idx] = (True, _serializer.loads(raw))
-                except _FutureTimeout:
-                    results[idx] = (
-                        False,
-                        TimeoutError(
-                            f"task {tasks[idx].key!r} exceeded its "
-                            f"{timeout}s timeout"
-                        ),
-                    )
-                    broken_at = pos
-                    break
-                except BrokenExecutor as exc:
-                    results[idx] = (False, exc)
-                    broken_at = pos
-                    break
-                except Exception as exc:
-                    results[idx] = (False, exc)
-            if broken_at is None and not submit_broken and not waiting:
-                break
-            if broken_at is not None:
-                # Reap the siblings: futures that already finished keep
-                # their results; the rest are collateral of the broken
-                # pool/hung worker and go back for a free resubmission.
-                for idx in order[broken_at + 1:]:
-                    fut = futures[idx]
-                    if fut.done():
-                        try:
-                            results[idx] = (
-                                True,
-                                _serializer.loads(fut.result(timeout=0)),
-                            )
-                        except (BrokenExecutor, _FutureTimeout):
-                            waiting.append(idx)
-                        except Exception as exc:
-                            results[idx] = (False, exc)
-                    else:
-                        waiting.append(idx)
-            self._destroy_pool(pool)
-            if waiting and rebuilds_left <= 0:
-                err = RuntimeError(
-                    "worker pool broke repeatedly "
-                    f"(max_pool_rebuilds={self.max_pool_rebuilds} exhausted); "
-                    "giving up on the remaining tasks of this round"
-                )
-                for idx in waiting:
-                    results[idx] = (False, err)
-                waiting = []
-            rebuilds_left -= 1
-            pool = self._make_pool(max(1, len(waiting) or len(todo)))
-            if waiting:
-                logger.warning(
-                    "worker pool rebuilt; resubmitting %d in-flight task(s)",
-                    len(waiting),
-                )
-        return results, pool, rebuilds_left
-
-    def _round_chunk_size(self, n_todo: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return adaptive_chunk_size(n_todo, self.workers)
-
-    def _chunk_task(self, tasks, idxs: List[int]) -> Task:
-        """Synthetic task wrapping a chunk of real tasks for one submission.
-
-        The chunk timeout is the sum of the members' effective timeouts
-        (``None`` as soon as any member is unbounded): the chunk is the
-        smallest unit a hung worker can be reclaimed at.
-        """
+    @staticmethod
+    def _submit(pool: ProcessPoolExecutor, tasks, chunk: List[int]) -> Future:
         blobs = [
             _serializer.dumps((tasks[i].fn, tasks[i].args, tasks[i].kwargs))
-            for i in idxs
+            for i in chunk
         ]
-        timeout: Optional[float] = 0.0
-        for i in idxs:
-            member = self._effective_timeout(tasks[i])
-            if member is None:
-                timeout = None
-                break
-            timeout += member
-        return Task(
-            key=f"chunk[{tasks[idxs[0]].key}..{tasks[idxs[-1]].key}]",
-            fn=_run_task_chunk,
-            args=(blobs,),
-            timeout=timeout,
-        )
+        try:
+            return pool.submit(_run_task_chunk, blobs)
+        except BrokenExecutor as exc:  # the pool died while still submitting
+            future: Future = Future()
+            future.set_exception(exc)
+            return future
 
-    def _run_chunked_round(self, tasks, todo, pool, rebuilds_left):
-        """One attempt for every task in ``todo``, chunked submissions.
+    def _collect(self, pool, tasks, chunks, entries) -> List[int]:
+        """Submit every chunk to ``pool`` and wait for all of them.
 
-        Expands the chunk-level results of :meth:`_run_round` back to
-        per-task ``(ok, payload)`` / ``(False, exc, text)`` entries.  A
-        transport-level chunk failure (broken pool after rebuild budget,
-        chunk timeout) charges every member of the chunk.
+        Fills ``entries`` with one :func:`_run_task_chunk` entry per
+        task.  Returns the members of chunks lost to a broken pool (each
+        entered as failed with the pool's error) after destroying the
+        pool; a healthy pool is left running for the caller.
         """
-        size = self._round_chunk_size(len(todo))
-        if size <= 1:
-            return self._run_round(tasks, todo, pool, rebuilds_left)
-        chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
-        meta = [self._chunk_task(tasks, chunk) for chunk in chunks]
-        raw, pool, rebuilds_left = self._run_round(
-            meta, list(range(len(meta))), pool, rebuilds_left
-        )
-        results: Dict[int, Tuple] = {}
-        for ci, chunk in enumerate(chunks):
-            ok, payload = raw[ci]
-            if ok:
-                for idx, entry in zip(chunk, payload):
-                    results[idx] = tuple(entry)
-            else:
-                for idx in chunk:
-                    results[idx] = (False, payload)
-        return results, pool, rebuilds_left
+        lost: List[int] = []
+        try:
+            futures = [self._submit(pool, tasks, chunk) for chunk in chunks]
+            for chunk, future in zip(chunks, futures):
+                try:
+                    raws = future.result()
+                except BrokenExecutor as exc:
+                    lost.extend(chunk)
+                    text = "".join(traceback.format_exception(exc))
+                    entries.update((idx, (False, exc, 0.0, text)) for idx in chunk)
+                    continue
+                for idx, raw in zip(chunk, raws):
+                    entries[idx] = _serializer.loads(raw)
+        except BaseException:
+            self._destroy_pool(pool)
+            raise
+        if lost:
+            self._destroy_pool(pool)
+        return lost
 
     def _run_parallel(self, tasks, pending, outcomes, reraise) -> None:
-        start = time.perf_counter()
-        todo = list(pending)
-        failures: Dict[int, Tuple[BaseException, Optional[str]]] = {}
-        attempts = {idx: 0 for idx in pending}
-        pool = self._make_pool(len(pending))
-        rebuilds_left = self.max_pool_rebuilds
-        try:
-            round_no = 1
-            while todo:
-                if round_no > 1:
-                    time.sleep(self.retry.delay(round_no - 1))
-                if self.journal is not None:
-                    # Round-granularity work sharing: drop tasks a
-                    # sibling executor journaled since the last round.
-                    still: List[int] = []
-                    for idx in todo:
-                        replayed = self._journal_replay(tasks[idx])
-                        if replayed is not None:
-                            outcomes[idx] = replayed
-                        else:
-                            still.append(idx)
-                    todo = still
-                    if not todo:
-                        break
-                results, pool, rebuilds_left = self._run_chunked_round(
-                    tasks, todo, pool, rebuilds_left
-                )
-                retry_next: List[int] = []
-                for idx in todo:
-                    attempts[idx] += 1
-                    entry = results[idx]
-                    if entry[0]:
-                        outcomes[idx] = TaskOutcome(
-                            tasks[idx].key,
-                            value=entry[1],
-                            seconds=time.perf_counter() - start,
-                            attempts=attempts[idx],
-                        )
-                        self._journal_record(tasks[idx], entry[1])
-                    elif round_no < self._max_attempts:
-                        logger.warning(
-                            "task %r failed (attempt %d/%d); retrying",
-                            tasks[idx].key,
-                            round_no,
-                            self._max_attempts,
-                        )
-                        retry_next.append(idx)
-                    else:
-                        failures[idx] = (
-                            entry[1],
-                            entry[2] if len(entry) > 2 else None,
-                        )
-                todo = retry_next
-                round_no += 1
-        finally:
-            # The current pool is healthy/idle on every exit path (hung
-            # or broken pools were already destroyed and replaced inside
-            # _run_round), so a graceful shutdown cannot block.
-            pool.shutdown(wait=True, cancel_futures=True)
+        todo: List[int] = []
+        for idx in pending:
+            # Work sharing: skip tasks a sibling executor journaled
+            # since this run() started.
+            replayed = self._journal_replay(tasks[idx])
+            if replayed is None:
+                todo.append(idx)
+            else:
+                outcomes[idx] = replayed
+        if not todo:
+            return
+        size = adaptive_chunk_size(len(todo), self.workers)
+        chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
+        entries: Dict[int, Tuple[bool, Any, float, Optional[str]]] = {}
+        pool = self._make_pool(len(chunks))
+        suspects = self._collect(pool, tasks, chunks, entries)
+        if suspects:
+            logger.warning(
+                "worker pool broke; re-running %d suspect task(s) one at a time",
+                len(suspects),
+            )
+        else:
+            pool.shutdown(wait=True)
+        pool = None
+        for idx in suspects:
+            pool = pool or self._make_pool(1)
+            if self._collect(pool, tasks, [[idx]], entries):
+                pool = None  # broke a pool alone: the crasher keeps its error
+        if pool is not None:
+            pool.shutdown(wait=True)
 
-        for idx, (exc, chunk_text) in failures.items():
-            if reraise:
-                raise exc
-            text = chunk_text or "".join(
-                traceback.format_exception(type(exc), exc, exc.__traceback__)
-            )
-            outcomes[idx] = TaskOutcome(
-                tasks[idx].key,
-                error=text,
-                seconds=time.perf_counter() - start,
-                attempts=attempts[idx],
-            )
+        first_error: Optional[BaseException] = None
+        for idx in todo:
+            task = tasks[idx]
+            ok, result, seconds, text = entries[idx]
+            if ok:
+                outcomes[idx] = TaskOutcome(task.key, value=result, seconds=seconds)
+                self._journal_record(task, result)
+                continue
+            if first_error is None:
+                first_error = result
+            outcomes[idx] = TaskOutcome(task.key, error=text, seconds=seconds)
+        if reraise and first_error is not None:
+            raise first_error

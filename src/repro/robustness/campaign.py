@@ -5,10 +5,10 @@ degradation on/off — over one lifetime scenario of an
 :class:`~repro.core.framework.AgingAwareFramework`.  Each grid point is
 one full lifetime simulation; points fan out through the
 :class:`~repro.core.executor.ParallelExecutor` (bit-identical to a
-serial run, resilient to worker crashes via its retry/rebuild
-machinery) and share the on-disk :class:`~repro.core.executor.ResultCache`
-with plain scenario runs: the fault-free baseline point hits the same
-cache entry an ordinary ``run_scenario`` would write.
+serial run; a point that crashes its worker fails alone) and share the
+on-disk :class:`~repro.core.executor.ResultCache` with plain scenario
+runs: the fault-free baseline point hits the same cache entry an
+ordinary ``run_scenario`` would write.
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ class FaultCampaign:
         workers: int = 1,
         cache: Optional[ResultCache] = None,
         journal: Optional[RunJournal] = None,
-        chunk_size: Optional[int] = None,
     ) -> None:
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
@@ -104,9 +103,6 @@ class FaultCampaign:
         self.repeat = int(repeat)
         self.workers = int(workers)
         self.cache = cache
-        #: Points per pool submission in parallel mode (``None`` = auto
-        #: adaptive chunking, ``1`` = legacy one-future-per-point).
-        self.chunk_size = chunk_size
         #: Optional crash-safe journal: completed grid points are
         #: appended durably as they finish, and a re-launched campaign
         #: over the same journal re-executes zero of them.
@@ -204,7 +200,6 @@ class FaultCampaign:
                 workers=self.workers,
                 cache=self.cache,
                 journal=self.journal,
-                chunk_size=self.chunk_size,
             )
             results = [o.value for o in executor.run(tasks, reraise=True)]
 

@@ -10,6 +10,7 @@ failed point, never a hung pool).
 
 import dataclasses
 import os
+import time
 
 import numpy as np
 import pytest
@@ -132,6 +133,31 @@ def _die(x):
     os._exit(3)  # simulate a hard worker crash (segfault/OOM-kill)
 
 
+def _draw(x):
+    return float(np.random.default_rng(x).random())
+
+
+def _slow_draw(x):
+    time.sleep(1.0)
+    return _draw(x)
+
+
+def _die_soon(x):
+    time.sleep(0.1)
+    os._exit(3)
+
+
+def _draw_or_die_at_20(x):
+    if x == 20:
+        os._exit(3)
+    return _draw(x)
+
+
+def _sleep(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
 class TestParallelExecutor:
     def test_rejects_negative_workers(self):
         with pytest.raises(ConfigurationError):
@@ -169,6 +195,40 @@ class TestParallelExecutor:
         outcomes = ParallelExecutor(workers=2).run(tasks)
         assert not outcomes[0].ok
         assert "Broken" in outcomes[0].error or "abruptly" in outcomes[0].error
+
+    def test_crash_fails_only_the_crasher(self):
+        # The innocent task is still running when the crasher breaks the
+        # pool; it must be re-run, not blamed.
+        tasks = [
+            Task(key="innocent", fn=_slow_draw, args=(5,)),
+            Task(key="crasher", fn=_die_soon, args=(0,)),
+        ]
+        outcomes = ParallelExecutor(workers=2).run(tasks)
+        serial = ParallelExecutor(workers=1).run([tasks[0]])
+        assert [o.ok for o in outcomes] == [True, False]
+        assert "Broken" in outcomes[1].error or "abruptly" in outcomes[1].error
+        assert outcomes[0].value == serial[0].value
+
+    def test_crash_in_chunked_grid_fails_only_the_crasher(self):
+        # 40 tasks over 2 workers travel in chunks of 5: the crash loses
+        # t20's whole chunk, but only t20 may fail.
+        tasks = [
+            Task(key=f"t{i}", fn=_draw_or_die_at_20, args=(i,)) for i in range(40)
+        ]
+        outcomes = ParallelExecutor(workers=2).run(tasks)
+        innocents = [t for t in tasks if t.key != "t20"]
+        serial = ParallelExecutor(workers=1).run(innocents)
+        assert [o.key for o in outcomes if not o.ok] == ["t20"]
+        assert [o.value for o in outcomes if o.ok] == [o.value for o in serial]
+
+    def test_parallel_seconds_are_per_task(self):
+        tasks = [
+            Task(key="short", fn=_sleep, args=(0.1,)),
+            Task(key="long", fn=_sleep, args=(1.5,)),
+        ]
+        short, long = ParallelExecutor(workers=2).run(tasks)
+        assert short.ok and long.ok
+        assert short.seconds < 0.5 * long.seconds
 
     def test_cache_short_circuits(self, tmp_path):
         cache = ResultCache(tmp_path)

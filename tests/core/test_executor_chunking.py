@@ -3,9 +3,9 @@
 The three scheduling upgrades behind the campaign service, each pinned
 to the engine's core invariant: scheduling may change, results may not.
 
-* :func:`adaptive_chunk_size` + chunked pool submission — identical
-  outcomes, identical ordering, identical error isolation to the
-  historical one-future-per-task path;
+* :func:`adaptive_chunk_size` + chunked pool submission — outcomes,
+  ordering and error isolation identical to a serial run, for grids
+  small enough to get one task per chunk and large enough to share;
 * :class:`RetryPolicy` seeded jitter — deterministic, bounded,
   per-worker decorrelated backoff delays;
 * two executors draining one grid through a shared ``RunJournal`` /
@@ -65,64 +65,38 @@ class TestAdaptiveChunkSize:
         chunk = adaptive_chunk_size(n, workers)
         assert n / chunk >= workers * 4
 
-    def test_executor_rejects_bad_chunk_size(self):
-        with pytest.raises(ConfigurationError):
-            ParallelExecutor(workers=2, chunk_size=0)
-
 
 # -- chunked execution equivalence --------------------------------------------
 class TestChunkedEquivalence:
-    @pytest.mark.parametrize("chunk_size", [None, 1, 3, 64])
-    def test_results_match_serial_in_order(self, chunk_size):
-        serial = [o.value for o in ParallelExecutor(workers=0).run(_tasks(10))]
-        chunked = [
-            o.value
-            for o in ParallelExecutor(workers=2, chunk_size=chunk_size).run(
-                _tasks(10)
-            )
-        ]
-        assert chunked == serial == [i * i for i in range(10)]
+    # Grid sizes on both sides of the chunk-size choice: with 2 workers,
+    # 1 and 3 tasks get one task per chunk, 40 and 64 get 5 and 8.
+    @pytest.mark.parametrize("n_tasks", [1, 3, 40, 64])
+    def test_results_match_serial_in_order(self, n_tasks):
+        serial = [o.value for o in ParallelExecutor(workers=0).run(_tasks(n_tasks))]
+        chunked = [o.value for o in ParallelExecutor(workers=2).run(_tasks(n_tasks))]
+        assert chunked == serial == [i * i for i in range(n_tasks)]
 
     def test_failure_isolated_within_chunk(self):
         # Task 2 raises; its chunk-mates (same pool submission) succeed.
-        outcomes = ParallelExecutor(workers=2, chunk_size=5).run(
-            _tasks(10, fn=_boom_on_two)
-        )
+        assert adaptive_chunk_size(40, workers=2) == 5
+        outcomes = ParallelExecutor(workers=2).run(_tasks(40, fn=_boom_on_two))
         assert not outcomes[2].ok
         assert "boom at 2" in str(outcomes[2].error)
         assert [o.value for o in outcomes if o.ok] == [
-            i for i in range(10) if i != 2
+            i for i in range(40) if i != 2
         ]
-
-    def test_failed_chunk_member_retries_alone(self, tmp_path):
-        # Retry machinery still operates per-task under chunking: the
-        # one flaky task is re-run, not its whole chunk.
-        flaky = tmp_path / "flaky"
-
-        def sometimes(x):
-            if x == 3 and not flaky.exists():
-                flaky.write_text("tried")
-                raise RuntimeError("transient")
-            return x
-
-        outcomes = ParallelExecutor(
-            workers=0,
-            retry=RetryPolicy(max_retries=2, backoff_base=0.0),
-            chunk_size=4,
-        ).run(_tasks(8, fn=sometimes))
-        assert all(o.ok for o in outcomes)
-        assert [o.value for o in outcomes] == list(range(8))
 
     def test_chunked_cache_hits_short_circuit(self, tmp_path):
         cache = ResultCache(tmp_path)
+        assert adaptive_chunk_size(24, workers=2) == 3
         tasks = [
             Task(key=f"t{i}", fn=_square, args=(i,), cache_key=f"ck{i}")
-            for i in range(6)
+            for i in range(24)
         ]
-        ParallelExecutor(workers=2, chunk_size=3, cache=cache).run(tasks)
-        again = ParallelExecutor(workers=2, chunk_size=3, cache=cache).run(tasks)
-        assert [o.value for o in again] == [i * i for i in range(6)]
-        assert cache.hits >= 6
+        ParallelExecutor(workers=2, cache=cache).run(tasks)
+        again = ParallelExecutor(workers=2, cache=cache).run(tasks)
+        assert [o.value for o in again] == [i * i for i in range(24)]
+        assert all(o.cached for o in again)
 
 
 # -- seeded retry jitter ------------------------------------------------------
