@@ -41,7 +41,7 @@ def run(lab):
                 matrices[layer.layer_index] = np.asarray(
                     layer.mapping.conductance_to_weight(g * f)
                 )
-            acc = net._accuracy_with_matrices(matrices, x, y)
+            acc = net._install_matrices(matrices).score(x, y)
             rows.append(
                 ("skewed" if skewed else "baseline", r_wire, float(np.mean(mean_factor)), acc)
             )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import copy
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 from repro.core.fastpath import vectorized_enabled
@@ -42,7 +42,8 @@ from repro.mapping.fresh import FreshMapper
 from repro.mapping.linear import LinearWeightMapping
 from repro.nn.layers.conv import Conv2D
 from repro.nn.layers.dense import Dense
-from repro.nn.model import Sequential
+from repro.nn.metrics import accuracy
+from repro.nn.model import PREDICT_BATCH, Sequential
 from repro.rng import SeedLike, ensure_rng, spawn_rng
 
 
@@ -169,21 +170,30 @@ class MappedLayer:
         )
         return self.mapping
 
-    def predicted_matrix(self, r_lo: float, r_hi: float) -> np.ndarray:
-        """Predict the effective weight matrix for a hypothetical range.
+    def weight_predictor(self) -> Callable[[float, float], np.ndarray]:
+        """Predictor of the effective weight matrix for a hypothetical range.
 
-        Uses the *traced* window estimates (not ground truth) — this is
-        the information the aging-aware controller actually has.
+        The returned ``predict(r_lo, r_hi)`` maps the software weights
+        into ``[r_lo, r_hi]``, quantizes them against the *traced* window
+        estimates (not ground truth — the information the aging-aware
+        controller actually has) and inverts the mapping.  The software
+        matrix and the estimates do not depend on the range, so they are
+        taken once here and shared by every candidate a policy scores;
+        the predictor is valid until the layer's weights or devices next
+        change.
         """
-        mapping = LinearWeightMapping.from_resistance_range(
-            self.software_matrix(), r_lo, r_hi
-        )
+        weights = self.software_matrix()
         est_lo, est_hi = self.estimated_bounds()
-        targets = self._to_physical(
-            np.asarray(mapping.weight_to_resistance(self.software_matrix()))
-        )
-        achieved = self._grid.quantize(targets, est_lo, est_hi)
-        return np.asarray(mapping.resistance_to_weight(self._to_logical(achieved)))
+
+        def predict(r_lo: float, r_hi: float) -> np.ndarray:
+            mapping = LinearWeightMapping.from_resistance_range(weights, r_lo, r_hi)
+            targets = self._to_physical(
+                np.asarray(mapping.weight_to_resistance(weights))
+            )
+            achieved = self._grid.quantize(targets, est_lo, est_hi)
+            return np.asarray(mapping.resistance_to_weight(self._to_logical(achieved)))
+
+        return predict
 
     def program(self) -> None:
         """Program the software weights into the tiles (ages devices).
@@ -358,26 +368,81 @@ class MappedNetwork:
         if aging_aware:
             # The mapper's history records this call only.
             policy.history = []
+        scoring = aging_aware and selection_data is not None
+        if scoring:
+            x_sel, y_sel = selection_data
+            n = min(len(x_sel), getattr(policy, "selection_batch", 128))
+            x_sel = np.asarray(x_sel[:n], dtype=np.float64)
+            y_sel = np.asarray(y_sel[:n], dtype=np.float64)
         predicted: Dict[int, np.ndarray] = {}
         for mapped in self.layers:
-            if aging_aware and selection_data is not None:
-                x_sel, y_sel = selection_data
-                n = min(len(x_sel), getattr(policy, "selection_batch", 128))
-
-                def score(r_lo: float, r_hi: float, mapped=mapped) -> float:
-                    trial = dict(predicted)
-                    trial[mapped.layer_index] = mapped.predicted_matrix(r_lo, r_hi)
-                    return self._accuracy_with_matrices(trial, x_sel[:n], y_sel[:n])
-
+            if scoring:
+                predict = mapped.weight_predictor()
+                score = self._candidate_scorer(mapped, predict, predicted, x_sel, y_sel)
                 r_lo, r_hi = policy.select_range(mapped, score)
             elif aging_aware:
                 r_lo, r_hi = policy.select_range(mapped, None)
             else:
                 r_lo, r_hi = policy.select_range(mapped)
             mapped.set_range(r_lo, r_hi)
-            predicted[mapped.layer_index] = mapped.predicted_matrix(r_lo, r_hi)
+            if scoring:
+                predicted[mapped.layer_index] = predict(r_lo, r_hi)
         for mapped in self.layers:
             mapped.program()
+
+    def _candidate_scorer(
+        self,
+        mapped: MappedLayer,
+        predict: Callable[[float, float], np.ndarray],
+        predicted: Dict[int, np.ndarray],
+        x: np.ndarray,
+        y: np.ndarray,
+    ) -> Callable[[float, float], float]:
+        """Score function for ``mapped``'s candidate ranges (DESIGN.md §11).
+
+        A candidate's predicted accuracy is that of the scratch model
+        with the already-selected layers at their ``predicted`` weights,
+        ``mapped`` at the candidate's weights and software weights
+        downstream.  Layers upstream of ``mapped`` are the same for
+        every candidate, so the first call installs the predicted
+        weights and runs the selection batch through them once, in the
+        :data:`~repro.nn.model.PREDICT_BATCH` chunks
+        :meth:`Sequential.predict` uses; each call then writes only the
+        candidate kernel and runs the layers from ``mapped`` on over
+        the cached chunks.  Every layer sees the same inputs and weights
+        as in a full :meth:`Sequential.score`, so the accuracy is
+        bit-identical to it.  The cache lives as long as this function:
+        one layer of one remap.
+        """
+        k = mapped.layer_index
+        scratch = self._scratch
+        prefix: Optional[List[np.ndarray]] = None
+
+        def score(r_lo: float, r_hi: float) -> float:
+            nonlocal prefix
+            if prefix is None:
+                self._install_matrices(predicted)
+                prefix = [
+                    x[start : start + PREDICT_BATCH]
+                    for start in range(0, len(x), PREDICT_BATCH)
+                ]
+                if k > 0:
+                    head = scratch.head(k)
+                    prefix = [head.forward(chunk) for chunk in prefix]
+            # The candidate kernel invalidates any memoized hardware
+            # state in the scratch model.
+            self._scratch_holds = None
+            scratch.layers[k].params["W"][...] = _matrix_to_kernel(
+                predict(r_lo, r_hi), mapped.layer
+            )
+            logits = []
+            for out in prefix:
+                for layer in scratch.layers[k:]:
+                    out = layer.forward(out, training=False)
+                logits.append(out)
+            return accuracy(np.concatenate(logits, axis=0), y)
+
+        return score
 
     # -- hardware inference -----------------------------------------------
     @contextmanager
@@ -440,11 +505,6 @@ class MappedNetwork:
                 kernel = _matrix_to_kernel(matrices[mapped.layer_index], mapped.layer)
                 self._scratch.layers[mapped.layer_index].params["W"][...] = kernel
         return self._scratch
-
-    def _accuracy_with_matrices(
-        self, matrices: Dict[int, np.ndarray], x: np.ndarray, y: np.ndarray
-    ) -> float:
-        return self._install_matrices(matrices).score(x, y)
 
     def effective_model(self) -> Sequential:
         """Scratch model carrying the current *hardware* weights.

@@ -59,24 +59,39 @@ class _Pool2D(Layer):
 
 
 class MaxPool2D(_Pool2D):
-    """Max pooling; backward routes the gradient to each window argmax."""
+    """Max pooling; backward routes the gradient to each window argmax.
+
+    Forward takes the window max as an elementwise ``np.maximum`` over
+    the ``k*k`` strided window offsets, which is exact (NaNs propagate)
+    and needs no argmax.  It keeps a reference to its input, from which
+    ``backward`` derives the first-occurrence argmax of each window
+    (a NaN counts as the maximum, as in ``np.argmax``).
+    """
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x_shape = x.shape
-        windows = self._windows(x)
-        n, c, oh, ow, k, _ = windows.shape
-        flat = windows.reshape(n, c, oh, ow, k * k)
-        self._argmax = flat.argmax(axis=-1)
-        return flat.max(axis=-1)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        n, c, h, w = self._x_shape
+        self._x = x
         k, s = self.pool_size, self.stride
         _, oh, ow = self.output_shape()
-        dx = np.zeros(self._x_shape, dtype=grad.dtype)
+        offsets = [
+            x[:, :, di : di + s * oh : s, dj : dj + s * ow : s]
+            for di in range(k)
+            for dj in range(k)
+        ]
+        out = offsets[0].copy()
+        for window in offsets[1:]:
+            np.maximum(out, window, out=out)
+        return out
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        x = self._x
+        n, c = x.shape[:2]
+        k, s = self.pool_size, self.stride
+        _, oh, ow = self.output_shape()
+        windows = self._windows(x).reshape(n, c, oh, ow, k * k)
+        dx = np.zeros(x.shape, dtype=grad.dtype)
         # Scatter each window's gradient to its argmax position.
         ni, ci, oi, oj = np.indices((n, c, oh, ow))
-        di, dj = np.divmod(self._argmax, k)
+        di, dj = np.divmod(windows.argmax(axis=-1), k)
         np.add.at(dx, (ni, ci, oi * s + di, oj * s + dj), grad)
         return dx
 

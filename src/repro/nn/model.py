@@ -25,6 +25,10 @@ from repro.rng import SeedLike, ensure_rng
 
 RegularizerSpec = Union[Regularizer, Dict[int, Regularizer], None]
 
+#: Samples per forward pass in :meth:`Sequential.predict` and the
+#: evaluation calls built on it.
+PREDICT_BATCH = 256
+
 
 @dataclass
 class TrainingHistory:
@@ -111,6 +115,20 @@ class Sequential:
         memristor crossbars.
         """
         return [(i, l) for i, l in enumerate(self.layers) if l.regularized]
+
+    def head(self, stop: int) -> "Sequential":
+        """Built model over ``layers[:stop]``, sharing the layer objects.
+
+        A view, not a copy: the head's forward runs this model's layers
+        with their current parameters.
+        """
+        self._require_built()
+        if not 0 < stop <= len(self.layers):
+            raise ConfigurationError(f"head needs 0 < stop <= {len(self.layers)}, got {stop}")
+        head = Sequential(self.layers[:stop], self.loss, self.optimizer, seed=0)
+        head.input_shape = self.input_shape
+        head.built = True
+        return head
 
     def num_params(self) -> int:
         """Total scalar parameter count."""
@@ -215,7 +233,7 @@ class Sequential:
                 epoch_cost += self.train_batch(x[idx], y[idx])
                 n_batches += 1
             history.loss.append(epoch_cost / max(1, n_batches))
-            history.accuracy.append(self.score(x, y, batch_size=max(batch_size, 256)))
+            history.accuracy.append(self.score(x, y, batch_size=max(batch_size, PREDICT_BATCH)))
             history.lr.append(self.optimizer.lr)
             if validation_data is not None:
                 vx, vy = validation_data
@@ -232,7 +250,7 @@ class Sequential:
                 print(msg)
         return history
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, x: np.ndarray, batch_size: int = PREDICT_BATCH) -> np.ndarray:
         """Model outputs (logits) for ``x``, computed in batches."""
         x = np.asarray(x, dtype=np.float64)
         outputs = [
@@ -241,19 +259,19 @@ class Sequential:
         ]
         return np.concatenate(outputs, axis=0)
 
-    def predict_classes(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict_classes(self, x: np.ndarray, batch_size: int = PREDICT_BATCH) -> np.ndarray:
         """Argmax class indices for ``x``."""
         return self.predict(x, batch_size=batch_size).argmax(axis=1)
 
     def evaluate(
-        self, x: np.ndarray, y: np.ndarray, batch_size: int = 256
+        self, x: np.ndarray, y: np.ndarray, batch_size: int = PREDICT_BATCH
     ) -> Tuple[float, float]:
         """``(data_loss, accuracy)`` on a labelled set."""
         pred = self.predict(x, batch_size=batch_size)
         y = np.asarray(y, dtype=np.float64)
         return self.loss.value(pred, y), accuracy(pred, y)
 
-    def score(self, x: np.ndarray, y: np.ndarray, batch_size: int = 256) -> float:
+    def score(self, x: np.ndarray, y: np.ndarray, batch_size: int = PREDICT_BATCH) -> float:
         """Classification accuracy on a labelled set."""
         return self.evaluate(x, y, batch_size=batch_size)[1]
 
