@@ -26,6 +26,11 @@ scheduler (``repro serve``'s machinery), timed end to end and verified
 bit-identical.  Results go to ``BENCH_campaign.json`` (grids) and
 ``BENCH_service.json`` (service arm) at the repository root.
 
+The horizon (``MAX_WINDOWS`` windows) is beyond every point's lifetime,
+so each run ends in failure and the grids compare real lifetimes, not
+copies of the horizon; the script exits nonzero if any point of any
+grid reaches the horizon instead.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/run_campaign_bench.py
@@ -69,6 +74,11 @@ from repro.training import SkewedTrainingConfig, TrainConfig, build_mlp
 from repro.tuning import TuningConfig
 
 SCENARIO = "st+at"
+APPS_PER_WINDOW = 1000
+#: Window budget per point; the longest big-grid point fails after
+#: ~523 windows, the standard-grid baseline after ~427.
+MAX_WINDOWS = 600
+HORIZON = MAX_WINDOWS * APPS_PER_WINDOW
 RATES = tuple(
     float(r)
     for r in os.environ.get("REPRO_BENCH_RATES", "0.005,0.01,0.02").split(",")
@@ -101,8 +111,8 @@ def make_framework() -> AgingAwareFramework:
             skew_epochs=8,
         ),
         lifetime=LifetimeConfig(
-            apps_per_window=1000,
-            max_windows=30,
+            apps_per_window=APPS_PER_WINDOW,
+            max_windows=MAX_WINDOWS,
             tuning=TuningConfig(max_iterations=40),
         ),
         tune_samples=160,
@@ -122,6 +132,15 @@ def timed_run(points, **campaign_kwargs):
 
 def per_minute(n_points: int, seconds: float) -> float:
     return round(60.0 * n_points / seconds, 2) if seconds else float("inf")
+
+
+def saturated_points(report) -> list:
+    """Points that ran to the horizon instead of failing before it."""
+    return [
+        r.point
+        for r in report.records
+        if not r.failed or r.lifetime_applications >= HORIZON
+    ]
 
 
 def standard_grid_arms(repo_root: pathlib.Path) -> dict:
@@ -172,6 +191,7 @@ def standard_grid_arms(repo_root: pathlib.Path) -> dict:
         "cache": cache_stats,
         "journal": journal_stats,
         "lifetimes": {r.point: r.lifetime_applications for r in serial.records},
+        "saturated_points": saturated_points(serial),
     }
 
 
@@ -187,6 +207,8 @@ def big_grid_arms() -> dict:
         "chunked_seconds": round(t_chunked, 3),
         "speedup_chunked_vs_serial": round(t_serial / t_chunked, 2),
         "reports_identical_across_modes": chunked.to_dict() == serial.to_dict(),
+        "longest_lifetime": max(r.lifetime_applications for r in serial.records),
+        "saturated_points": saturated_points(serial),
         "serial_reference": serial.to_dict(),
     }
 
@@ -249,6 +271,7 @@ def main() -> int:
     payload = {
         "benchmark": f"stuck-at fault campaign over {SCENARIO} "
         "(miniature blobs workload)",
+        "horizon_applications": HORIZON,
         "cpu_count": os.cpu_count(),
         "standard_grid": standard_grid_arms(repo_root),
     }
@@ -257,11 +280,14 @@ def main() -> int:
         print("ERROR: journal relaunch re-executed points", file=sys.stderr)
         ok = False
 
+    saturated = list(payload["standard_grid"]["saturated_points"])
+
     service_payload = None
     if not SKIP_BIG:
         big = big_grid_arms()
         serial_reference = big.pop("serial_reference")
         payload["big_grid"] = big
+        saturated += big["saturated_points"]
         ok = ok and big["reports_identical_across_modes"]
         service_payload = service_arm(repo_root, serial_reference)
         ok = ok and service_payload["report_identical_to_serial"]
@@ -295,6 +321,9 @@ def main() -> int:
             json.dumps(service_payload, indent=2) + "\n"
         )
         print(json.dumps(service_payload, indent=2))
+    if saturated:
+        print(f"ERROR: {saturated} ran to the horizon", file=sys.stderr)
+        ok = False
     if not ok:
         print("ERROR: benchmark validation failed", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
 """Measure the kernel-layer speedups and prove result identity.
 
-Three parts (see DESIGN.md §9 and ISSUE 4):
+Two parts (see DESIGN.md §9):
 
 * **batch** — exact IR-drop evaluation on a single conductance state
   (default 64x64, batch 32).  The legacy path assembled and
@@ -14,19 +14,9 @@ Three parts (see DESIGN.md §9 and ISSUE 4):
 * **reads** — a programmed crossbar answering a read-heavy workload
   with the state-version caches enabled vs disabled; outputs asserted
   bit-identical, speedup recorded.
-* **e2e** — one miniature ``t+t`` lifetime run under the vectorized
-  hot loop (batched ``program_pulses`` sweeps, read-reuse memoization,
-  DESIGN.md §11) vs the ``REPRO_SCALAR_TUNER`` reference path, whose
-  pulse update is the per-device Python transcription of Eq. (5) —
-  the loop the paper's controller would run one cell at a time.
-  ``LifetimeResult.to_dict()`` asserted **exactly equal** (same
-  accuracy traces, pulse counts, window records), wall-clock speedup
-  recorded.  ISSUE 6 targets >= 5x on the default configuration;
-  ``REPRO_KBENCH_MIN_E2E_SPEEDUP`` (nightly sets 3.0) turns the
-  recorded speedup into a hard gate.
 
 Writes ``BENCH_kernels.json`` at the repository root and exits nonzero
-if any mode diverges (or an enabled speedup gate fails).
+if any mode diverges.
 
 Usage::
 
@@ -34,10 +24,7 @@ Usage::
 
 Environment overrides (CI smoke uses a reduced configuration):
 ``REPRO_KBENCH_SIZE`` (array side, default 64), ``REPRO_KBENCH_BATCH``
-(default 32), ``REPRO_KBENCH_REPS`` (timing repetitions, default 5),
-``REPRO_KBENCH_WINDOWS`` (e2e lifetime horizon, default 12),
-``REPRO_KBENCH_MIN_E2E_SPEEDUP`` (fail below this e2e speedup;
-default 0 = report only).
+(default 32), ``REPRO_KBENCH_REPS`` (timing repetitions, default 5).
 """
 
 from __future__ import annotations
@@ -53,26 +40,15 @@ from scipy.sparse.linalg import spsolve
 
 from bench_history import append_history
 
-from repro.core import (
-    AgingAwareFramework,
-    FrameworkConfig,
-    LifetimeConfig,
-    set_cache_enabled,
-    set_vectorized_enabled,
-)
+from repro.core import set_cache_enabled
 from repro.core.kernels import NodalSolver
 from repro.crossbar import Crossbar
 from repro.crossbar.parasitics import ParasiticModel, _assemble_nodal_system
-from repro.data import make_blobs
 from repro.device import DeviceConfig
-from repro.training import SkewedTrainingConfig, TrainConfig, build_mlp
-from repro.tuning import TuningConfig
 
 SIZE = int(os.environ.get("REPRO_KBENCH_SIZE", "64"))
 BATCH = int(os.environ.get("REPRO_KBENCH_BATCH", "32"))
 REPS = int(os.environ.get("REPRO_KBENCH_REPS", "5"))
-WINDOWS = int(os.environ.get("REPRO_KBENCH_WINDOWS", "12"))
-MIN_E2E_SPEEDUP = float(os.environ.get("REPRO_KBENCH_MIN_E2E_SPEEDUP", "0"))
 R_WIRE = 2.0
 
 
@@ -181,114 +157,25 @@ def bench_reads() -> dict:
     }
 
 
-def make_framework() -> AgingAwareFramework:
-    """A tuning-heavy miniature framework for the e2e arm.
-
-    The configuration is chosen so the online tuner actually works
-    for its windows (drift, quantization and aging pressure keep the
-    mapped accuracy below target at each remap) and each sweep selects
-    a large device fraction (low ``threshold``, ``target_fraction=1``),
-    because the scalar reference cost scales with the number of pulsed
-    devices while the shared floor (evals, gradients, remaps) does not.
-    """
-    data = make_blobs(n_samples=400, n_classes=4, n_features=16, spread=2.0, seed=3)
-    config = FrameworkConfig(
-        device=DeviceConfig(n_levels=6, pulses_to_collapse=150, write_noise=0.15),
-        train=TrainConfig(epochs=15),
-        skewed=SkewedTrainingConfig(
-            beta_scale=-1.0,
-            lambda1=0.05,
-            lambda2=1e-3,
-            pretrain=TrainConfig(epochs=15),
-            skew_epochs=8,
-        ),
-        lifetime=LifetimeConfig(
-            apps_per_window=1000,
-            max_windows=WINDOWS,
-            drift_magnitude=0.25,
-            tuning=TuningConfig(
-                max_iterations=100,
-                eval_every=8,
-                batch_size=24,
-                threshold=0.01,
-            ),
-        ),
-        tune_samples=48,
-        target_fraction=1.0,
-    )
-    return AgingAwareFramework(
-        lambda seed: build_mlp(16, 4, hidden=(96, 48), seed=seed), data, config, seed=7
-    )
-
-
-def bench_e2e() -> dict:
-    def run(vectorized: bool):
-        """Best-of-REPS wall clock for one full scenario run.
-
-        ``run_scenario`` is deterministic for a fixed repeat index, so
-        every repetition produces the identical result; the minimum
-        time is the standard noise-robust estimate.  Training happens
-        outside the timed region — both legs measure only the mapped
-        lifetime loop (map → tune → evaluate per window).
-        """
-        prior = set_vectorized_enabled(vectorized)
-        try:
-            framework = make_framework()
-            framework.trained_model(False)  # train outside the timed region
-            best = float("inf")
-            result = None
-            for _ in range(REPS):
-                start = time.perf_counter()
-                result = framework.run_scenario("t+t")
-                best = min(best, time.perf_counter() - start)
-            return result, best
-        finally:
-            set_vectorized_enabled(prior)
-
-    result_scalar, t_scalar = run(False)
-    result_vec, t_vec = run(True)
-    identical = result_scalar.to_dict() == result_vec.to_dict()
-    return {
-        "workload": f"t+t lifetime run, blobs 16f/4c, mlp (96, 48), "
-        f"{WINDOWS} windows",
-        "repetitions": REPS,
-        "scalar_seconds": round(t_scalar, 4),
-        "vectorized_seconds": round(t_vec, 4),
-        "speedup_vectorized_vs_scalar": round(t_scalar / t_vec, 2),
-        "tuning_iterations": sum(
-            w.tuning_iterations for w in result_vec.windows
-        ),
-        "windows_run": len(result_vec.windows),
-        "lifetime_applications": result_vec.lifetime_applications,
-        "results_identical": identical,
-    }
-
-
 def main() -> int:
     repo_root = pathlib.Path(__file__).resolve().parent.parent
 
     batch = bench_batch()
     reads = bench_reads()
-    e2e = bench_e2e()
 
     identical = (
         batch["bitwise_identical_batched_serial_cached"]
         and reads["bitwise_identical"]
-        and e2e["results_identical"]
     )
     payload = {
         "benchmark": "hot-path kernels: cached factorization, batched nodal "
-        "solves, state-versioned conductance caching, vectorized lifetime "
-        "hot loop",
+        "solves, state-versioned conductance caching",
         "cpu_count": os.cpu_count(),
         "exact_ir_drop_batch": batch,
         "cached_read_workload": reads,
-        "end_to_end_lifetime": e2e,
         "results_identical_across_modes": identical,
         "target_batch_speedup": 5.0,
         "meets_batch_speedup_target": batch["speedup_cached_vs_legacy"] >= 5.0,
-        "target_e2e_speedup": 5.0,
-        "meets_e2e_speedup_target": e2e["speedup_vectorized_vs_scalar"] >= 5.0,
     }
     out = repo_root / "BENCH_kernels.json"
     out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -299,20 +186,11 @@ def main() -> int:
         {
             "speedup_cached_vs_legacy": batch["speedup_cached_vs_legacy"],
             "speedup_cache_on_vs_off": reads["speedup_cache_on_vs_off"],
-            "speedup_vectorized_vs_scalar": e2e["speedup_vectorized_vs_scalar"],
             "results_identical": identical,
         },
     )
     if not identical:
         print("ERROR: kernel modes disagree", file=sys.stderr)
-        return 1
-    if MIN_E2E_SPEEDUP > 0 and e2e["speedup_vectorized_vs_scalar"] < MIN_E2E_SPEEDUP:
-        print(
-            "ERROR: end-to-end lifetime speedup "
-            f"{e2e['speedup_vectorized_vs_scalar']}x below the "
-            f"REPRO_KBENCH_MIN_E2E_SPEEDUP={MIN_E2E_SPEEDUP}x gate",
-            file=sys.stderr,
-        )
         return 1
     return 0
 

@@ -18,9 +18,6 @@
 * :class:`CheckpointManager` / :class:`RunJournal` — durable
   checkpoint/resume for lifetime runs and crash-safe journaling of
   campaign/sweep grids (DESIGN.md §10).
-* :func:`vectorized_enabled` / :func:`set_vectorized_enabled` — switch
-  between the vectorized lifetime hot loop and the scalar reference
-  path (``REPRO_SCALAR_TUNER``, DESIGN.md §11).
 """
 
 from repro.core.checkpoint import (
@@ -40,7 +37,6 @@ from repro.core.executor import (
     adaptive_chunk_size,
     fingerprint,
 )
-from repro.core.fastpath import set_vectorized_enabled, vectorized_enabled
 from repro.core.framework import AgingAwareFramework, FrameworkConfig
 from repro.core.kernels import (
     FactorizationCache,
@@ -98,7 +94,5 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "set_cache_enabled",
-    "set_vectorized_enabled",
-    "vectorized_enabled",
     "vggnet_shapes",
 ]

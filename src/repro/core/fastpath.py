@@ -1,66 +1,14 @@
-"""Global switch between the vectorized and scalar lifetime hot loops.
+"""The lifetime hot loop has one production path: the vectorized one.
 
-The per-window map → tune → evaluate loop has two implementations that
-are **bit-identical by contract** (see DESIGN.md §11):
-
-* the **vectorized** path (default): batched ``program_pulses`` tuning
-  sweeps, batched initial weight programming, stress-versioned
-  aged-window caches, and memoized hardware reads inside a
-  :meth:`repro.mapping.network.MappedNetwork.read_reuse` scope;
-* the **scalar** path: the original per-call reference implementation,
-  kept alive as the oracle the equivalence test battery
-  (``tests/tuning/test_tuner_equivalence.py``) and the
-  ``end_to_end_lifetime`` benchmark arm diff the vectorized path
-  against.
-
-Setting the environment variable ``REPRO_SCALAR_TUNER`` (to ``1``,
-``true``, ``yes`` or ``on``) before the first hot-loop call selects the
-scalar path for the whole process; :func:`set_vectorized_enabled`
-toggles it programmatically (tests, benchmarks).
-
-This module is deliberately import-light (stdlib only): it is imported
-by the crossbar/device layer, which must not pull scipy in.
+The per-device Eq. (5) pulse loop that tests diff it against lives in
+``tests/tuning/reference.py`` (DESIGN.md §11).  :func:`vectorized_enabled`
+remains so callers that check which hot loop runs (such as a
+benchmark's environment-hygiene check) keep a stable answer.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-#: Tri-state: ``None`` = not yet resolved from the environment.
-_VECTORIZED: Optional[bool] = None
-
-
-def _env_requests_scalar() -> bool:
-    return os.environ.get("REPRO_SCALAR_TUNER", "").strip().lower() in _TRUTHY
-
 
 def vectorized_enabled() -> bool:
-    """Whether the vectorized hot-loop paths are active.
-
-    Resolved lazily from ``REPRO_SCALAR_TUNER`` on first use, so test
-    processes can set the variable before touching the simulator.
-    """
-    global _VECTORIZED
-    if _VECTORIZED is None:
-        _VECTORIZED = not _env_requests_scalar()
-    return _VECTORIZED
-
-
-def set_vectorized_enabled(enabled: bool) -> bool:
-    """Select the vectorized (True) or scalar (False) hot loop.
-
-    Returns the prior value so callers can restore it::
-
-        prior = set_vectorized_enabled(False)
-        try:
-            ...   # scalar reference run
-        finally:
-            set_vectorized_enabled(prior)
-    """
-    global _VECTORIZED
-    previous = vectorized_enabled()
-    _VECTORIZED = bool(enabled)
-    return previous
+    """Whether the vectorized hot loop is active; always ``True``."""
+    return True

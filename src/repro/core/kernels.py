@@ -36,11 +36,11 @@ invalidates it.  The module-level :func:`set_cache_enabled` switch
 exists so benchmarks and regression tests can prove cached and
 uncached paths agree bit for bit.
 
-The write side of the lifetime loop — batched pulse programming, the
-read-reuse memoization of :class:`repro.mapping.network.MappedNetwork`,
-and the ``REPRO_SCALAR_TUNER`` reference path — lives in
-:mod:`repro.core.fastpath` and DESIGN.md §11; its value caches honour
-the same :func:`cache_enabled` switch as this module.
+The write side of the lifetime loop — batched pulse programming and
+the read-reuse memoization of
+:class:`repro.mapping.network.MappedNetwork` (DESIGN.md §11) — keeps
+value caches that honour the same :func:`cache_enabled` switch as this
+module.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ def cache_enabled() -> bool:
 def assemble_nodal_matrix(g: np.ndarray, g_wire: float) -> sparse.csc_matrix:
     """Vectorized assembly of the nodal matrix ``A`` (no RHS).
 
-    Same stamps as the per-cell loop reference in
-    :func:`repro.crossbar.parasitics._assemble_nodal_system_loop`:
+    Same stamps as the per-cell loop reference
+    ``_assemble_nodal_system_loop`` in ``tests/crossbar/test_parasitics.py``:
     every cell bridges its wordline and bitline nodes through its
     conductance, wordline nodes chain towards the driver column
     (j = 0), bitline nodes chain towards the TIA row (i = rows-1), and

@@ -205,7 +205,7 @@ def blobs_mini(fast: bool = False) -> ExperimentPreset:
         ),
         lifetime=LifetimeConfig(
             apps_per_window=1000,
-            max_windows=30,
+            max_windows=600,
             tuning=TuningConfig(max_iterations=40),
         ),
         tune_samples=160,

@@ -6,7 +6,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.fastpath import vectorized_enabled
 from repro.core.kernels import FactorizationCache, NodalSolver, cache_enabled
 from repro.core.profiling import PROFILER
 from repro.device.config import DeviceConfig
@@ -161,25 +160,20 @@ class Crossbar:
     def aged_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Per-device ``(R_aged,min, R_aged,max)`` arrays.
 
-        Cached per stress version on the vectorized path (DESIGN.md
-        §11): the bounds are a deterministic function of the stress
-        history, so between aging events every read — dead-mask checks,
-        quantization windows, tracer estimates, window bookkeeping —
-        reuses the same (read-only) arrays bit for bit.
+        Cached per stress version (DESIGN.md §11): the bounds are a
+        deterministic function of the stress history, so between aging
+        events every read — dead-mask checks, quantization windows,
+        tracer estimates, window bookkeeping — reuses the same
+        (read-only) arrays bit for bit.
         """
         cached = self._bounds_cache
-        if (
-            cached is not None
-            and cached[0] == self._stress_version
-            and cache_enabled()
-            and vectorized_enabled()
-        ):
+        if cached is not None and cached[0] == self._stress_version and cache_enabled():
             PROFILER.increment("crossbar.bounds_cache_hits")
             return cached[1], cached[2]
         lo, hi = self.aging.aged_bounds(
             self.r_fresh_min, self.r_fresh_max, self.config.temperature, self.stress_time
         )
-        if cache_enabled() and vectorized_enabled():
+        if cache_enabled():
             lo.setflags(write=False)
             hi.setflags(write=False)
             self._bounds_cache = (self._stress_version, lo, hi)
@@ -191,15 +185,10 @@ class Crossbar:
         Cached per stress version alongside :meth:`aged_bounds`.
         """
         cached = self._dead_cache
-        if (
-            cached is not None
-            and cached[0] == self._stress_version
-            and cache_enabled()
-            and vectorized_enabled()
-        ):
+        if cached is not None and cached[0] == self._stress_version and cache_enabled():
             return cached[1]
         mask = self.usable_level_counts() < 2
-        if cache_enabled() and vectorized_enabled():
+        if cache_enabled():
             mask.setflags(write=False)
             self._dead_cache = (self._stress_version, mask)
         return mask
@@ -270,8 +259,8 @@ class Crossbar:
 
         Returns the boolean *select* mask of devices that actually
         received a pulse (post miss-draw) — both public entry points
-        run the identical operation sequence, so the scalar and batched
-        programming paths are bit-identical by construction.
+        run the identical operation sequence, so they are bit-identical
+        by construction.
         """
         targets = np.asarray(targets, dtype=np.float64)
         if targets.shape != self.shape:
@@ -373,14 +362,11 @@ class Crossbar:
         ``pulse_miss_rate > 0``), then one write-noise draw (only when
         ``write_noise > 0``), each over the full tile shape.
 
-        Two bodies, bit-identical by contract: the vectorized one
-        updates the whole array at once; the ``REPRO_SCALAR_TUNER``
-        reference transcribes the paper's Eq. (5) pulse loop device by
-        device (the oracle the equivalence battery diffs against).
-        Both share the same RNG draws and the same device-physics
-        evaluations (stress accrual, aged bounds), and the per-device
-        arithmetic involves only exact elementwise IEEE ops, so the two
-        bodies produce identical conductances, streams and versions.
+        The update runs over the whole array at once.  Its arithmetic
+        is elementwise-exact IEEE (``+-*/``, min/max/clip), so it equals
+        the paper's Eq. (5) pulse loop run device by device bit for bit;
+        ``tests/tuning/reference.py`` keeps that loop as the oracle the
+        equivalence battery diffs against.
         """
         select = self._apply_pulse_misses(active & ~self.dead_mask())
         self._apply_stress(select, self.resistance)
@@ -391,31 +377,13 @@ class Crossbar:
             else None
         )
         lo, hi = self.aged_bounds()
-        if vectorized_enabled():
-            g_new = 1.0 / self.resistance + directions * g_step
-            if noise is not None:
-                g_new = g_new + noise
-            # Convert back to resistance; keep conductance positive first.
-            g_new = np.maximum(g_new, 1.0 / np.maximum(hi, 1.0))
-            stepped = np.clip(1.0 / g_new, lo, hi)
-            self.resistance = np.where(select, stepped, self.resistance)
-            return select
-        # Reference implementation: one device at a time.  min/max/clip
-        # and +-*/ are elementwise-exact, so each device's value equals
-        # the vectorized result bit for bit; unselected devices keep
-        # their resistance, exactly like the masked np.where above.
-        res = self.resistance
-        out = res.copy()
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if not select[i, j]:
-                    continue
-                g = 1.0 / res[i, j] + directions[i, j] * g_step
-                if noise is not None:
-                    g = g + noise[i, j]
-                g = max(g, 1.0 / max(hi[i, j], 1.0))
-                out[i, j] = min(max(1.0 / g, lo[i, j]), hi[i, j])
-        self.resistance = out
+        g_new = 1.0 / self.resistance + directions * g_step
+        if noise is not None:
+            g_new = g_new + noise
+        # Convert back to resistance; keep conductance positive first.
+        g_new = np.maximum(g_new, 1.0 / np.maximum(hi, 1.0))
+        stepped = np.clip(1.0 / g_new, lo, hi)
+        self.resistance = np.where(select, stepped, self.resistance)
         return select
 
     def program_pulses(
@@ -428,11 +396,10 @@ class Crossbar:
         ``mask == (polarity != 0)`` (the tuning sweep derives the mask
         from the thresholded sign matrix, so this holds by
         construction).  Skips the per-call ``isin`` validation and the
-        achieved-resistance return copy of the scalar path; every draw
-        and every arithmetic operation is otherwise identical, which is
-        what makes the vectorized tuner bit-identical to the
-        ``REPRO_SCALAR_TUNER`` reference.  Returns the number of pulses
-        that actually fired (post pulse-miss, post dead-mask).
+        achieved-resistance return copy of :meth:`step_conductance`;
+        every draw and every arithmetic operation is otherwise
+        identical.  Returns the number of pulses that actually fired
+        (post pulse-miss, post dead-mask).
         """
         return int(np.count_nonzero(self._pulse_impl(polarity, mask, fraction)))
 

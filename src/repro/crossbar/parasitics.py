@@ -56,11 +56,6 @@ class ParasiticModel:
             raise ConfigurationError(f"r_wire must be >= 0, got {self.r_wire}")
 
 
-def _node_index(i: int, j: int, cols: int, plane: int, rows: int) -> int:
-    """Flat index of node (i, j) on plane 0 (wordlines) or 1 (bitlines)."""
-    return plane * rows * cols + i * cols + j
-
-
 def _assemble_nodal_system(
     g: np.ndarray, v_in: np.ndarray, g_wire: float
 ) -> tuple[sparse.csc_matrix, np.ndarray]:
@@ -70,56 +65,13 @@ def _assemble_nodal_system(
     (:func:`repro.core.kernels.assemble_nodal_matrix` — the matrix
     depends only on ``g`` and ``g_wire``); only the RHS depends on
     ``v_in``.  Kept as the single-vector reference that the regression
-    tests pin against the per-cell loop assembly below.
+    tests pin against a per-cell loop assembly.
     """
     rows, cols = g.shape
     matrix = assemble_nodal_matrix(g, g_wire)
     rhs = np.zeros(2 * rows * cols, dtype=np.float64)
     rhs[np.arange(rows) * cols] = g_wire * v_in
     return matrix, rhs
-
-
-def _assemble_nodal_system_loop(
-    g: np.ndarray, v_in: np.ndarray, g_wire: float
-) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Reference per-cell loop assembly (the readable specification).
-
-    Kept for the regression test that pins the vectorized assembly to
-    this one stamp by stamp; not used on the solve path.
-    """
-    rows, cols = g.shape
-    n = 2 * rows * cols
-    builder = sparse.lil_matrix((n, n))
-    rhs = np.zeros(n, dtype=np.float64)
-
-    def add_conductance(a: int, b: int, value: float) -> None:
-        builder[a, a] += value
-        builder[b, b] += value
-        builder[a, b] -= value
-        builder[b, a] -= value
-
-    def add_to_source(a: int, value: float, v_src: float) -> None:
-        builder[a, a] += value
-        rhs[a] += value * v_src
-
-    for i in range(rows):
-        for j in range(cols):
-            w = _node_index(i, j, cols, 0, rows)
-            b = _node_index(i, j, cols, 1, rows)
-            # The memristor bridges the planes.
-            add_conductance(w, b, g[i, j])
-            # Wordline segment towards the driver (j = 0 side).
-            if j == 0:
-                add_to_source(w, g_wire, v_in[i])
-            else:
-                add_conductance(w, _node_index(i, j - 1, cols, 0, rows), g_wire)
-            # Bitline segment towards the TIA (i = rows-1 side).
-            if i == rows - 1:
-                add_to_source(b, g_wire, 0.0)  # virtual ground
-            else:
-                add_conductance(b, _node_index(i + 1, j, cols, 1, rows), g_wire)
-
-    return sparse.csr_matrix(builder), rhs
 
 
 def solve_crossbar_nodal(

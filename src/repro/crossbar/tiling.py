@@ -177,9 +177,9 @@ class TiledMatrix:
         The bit-identical fast sibling of :meth:`step_conductance`
         (see :meth:`Crossbar.program_pulses`): tiles are visited in
         :meth:`iter_tiles` order so every tile's RNG stream advances
-        exactly as on the scalar path, but no logical resistance matrix
-        is assembled and no per-tile validation pass runs.  Returns the
-        total number of pulses that actually fired.
+        exactly as under :meth:`step_conductance`, but no logical
+        resistance matrix is assembled and no per-tile validation pass
+        runs.  Returns the total number of pulses that actually fired.
         """
         if mask.shape != self.shape:
             raise ShapeError(f"mask shape {mask.shape} != logical {self.shape}")

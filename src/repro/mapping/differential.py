@@ -34,7 +34,12 @@ import numpy as np
 from repro.crossbar.tiling import TiledMatrix
 from repro.device.config import DeviceConfig
 from repro.exceptions import ConfigurationError, ShapeError
-from repro.mapping.network import _layer_matrix, _matrix_to_kernel, clone_model
+from repro.mapping.network import (
+    MappedNetwork,
+    _layer_matrix,
+    _matrix_to_kernel,
+    clone_model,
+)
 from repro.nn.model import Sequential
 from repro.rng import SeedLike, ensure_rng, spawn_rng
 
@@ -276,6 +281,11 @@ class DifferentialMappedNetwork:
                 else grad_kernel.reshape(grad_kernel.shape[0], -1).T.copy()
             )
         return out
+
+    # The sweep only touches each layer's ``layer_index``,
+    # ``dead_device_mask`` and ``apply_gradient_signs``, which the pair
+    # layers provide with pair semantics.
+    apply_tuning_sweep = MappedNetwork.apply_tuning_sweep
 
     def total_pulses(self) -> int:
         return sum(layer.total_pulses() for layer in self.layers)

@@ -31,7 +31,6 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
-from repro.core.fastpath import vectorized_enabled
 from repro.core.kernels import cache_enabled
 from repro.core.profiling import PROFILER
 from repro.crossbar.tiling import TiledMatrix
@@ -198,19 +197,16 @@ class MappedLayer:
     def program(self) -> None:
         """Program the software weights into the tiles (ages devices).
 
-        On the vectorized path the whole layer is programmed through
-        the batched :meth:`~repro.crossbar.tiling.TiledMatrix.program_targets`
-        entry point (no logical result assembly) and the pulse count is
+        The whole layer is programmed through the batched
+        :meth:`~repro.crossbar.tiling.TiledMatrix.program_targets` entry
+        point (no logical result assembly) and the pulse count is
         recorded under the ``programming.batched`` perf counter.
         """
         if self.mapping is None:
             raise ConfigurationError("set_range must be called before program")
         targets = np.asarray(self.mapping.weight_to_resistance(self.software_matrix()))
-        if vectorized_enabled():
-            applied = self.tiles.program_targets(self._to_physical(targets))
-            PROFILER.increment("programming.batched", applied)
-        else:
-            self.tiles.program(self._to_physical(targets))
+        applied = self.tiles.program_targets(self._to_physical(targets))
+        PROFILER.increment("programming.batched", applied)
 
     # -- hardware side -------------------------------------------------------
     def hardware_matrix(self) -> np.ndarray:
@@ -268,16 +264,12 @@ class MappedLayer:
         directions = (-np.sign(weight_grad)).astype(np.int64)
         directions[np.abs(weight_grad) < threshold * scale] = 0
         physical = self._to_physical(directions)
-        if vectorized_enabled():
-            # Batched pulse path: mask == (polarity != 0) by
-            # construction, so this is bit-identical to the scalar
-            # step_conductance sweep (same draws, same arithmetic).
-            applied = self.tiles.program_pulses(
-                physical != 0, physical, fraction=step_fraction
-            )
-            PROFILER.increment("tuning.batched_pulses", applied)
-        else:
-            self.tiles.step_conductance(physical, fraction=step_fraction)
+        # mask == (polarity != 0) by construction, as program_pulses
+        # requires.
+        applied = self.tiles.program_pulses(
+            physical != 0, physical, fraction=step_fraction
+        )
+        PROFILER.increment("tuning.batched_pulses", applied)
         return int(np.count_nonzero(directions))
 
     def dead_device_mask(self) -> np.ndarray:
@@ -451,8 +443,8 @@ class MappedNetwork:
 
         The per-window map → tune → evaluate pipeline re-reads the same
         unchanged device state many times (gradient evaluation, scoring,
-        window metrics).  Inside this scope — and only when the
-        vectorized path, value caching, and noise-free reads all hold —
+        window metrics).  Inside this scope — and only when value
+        caching and noise-free reads both hold —
         :meth:`effective_model` reuses the scratch model as long as no
         tile's state version moved, and :meth:`_install_matrices`
         captures the software weight snapshot once instead of per call.
@@ -493,7 +485,7 @@ class MappedNetwork:
         # Installing arbitrary matrices (e.g. candidate-scoring trials)
         # invalidates any memoized hardware state in the scratch model.
         self._scratch_holds = None
-        if self._reuse_depth > 0 and vectorized_enabled() and cache_enabled():
+        if self._reuse_depth > 0 and cache_enabled():
             if self._software_snapshot is None:
                 self._software_snapshot = self.model.get_weights()
             snapshot = self._software_snapshot
@@ -519,10 +511,7 @@ class MappedNetwork:
         the read → invert → install rebuild entirely.
         """
         memoizable = (
-            self._reuse_depth > 0
-            and vectorized_enabled()
-            and cache_enabled()
-            and self._reads_deterministic()
+            self._reuse_depth > 0 and cache_enabled() and self._reads_deterministic()
         )
         if memoizable:
             key = tuple(m.tiles.state_version for m in self.layers)
@@ -576,12 +565,10 @@ class MappedNetwork:
     ) -> int:
         """One whole-network Eq. (5) sweep from per-layer gradients.
 
-        The network-level entry point of the batched tuning path:
-        per-layer dead masking, sign/threshold decisions, and pulse
-        application all run as array ops (``program_pulses`` per tile
-        under the vectorized path, ``step_conductance`` otherwise —
-        identical arithmetic either way).  Returns the number of
-        above-threshold devices summed over layers.
+        The network-level entry point of the tuner's sweep: per-layer
+        dead masking, sign/threshold decisions, and pulse application
+        (``program_pulses`` per tile) all run as array ops.  Returns
+        the number of above-threshold devices summed over layers.
         """
         pulsed = 0
         for mapped in self.layers:

@@ -4,17 +4,64 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.core.kernels import NodalSolver
 from repro.crossbar.parasitics import (
     ParasiticModel,
     _assemble_nodal_system,
-    _assemble_nodal_system_loop,
     ir_drop_factors,
     solve_crossbar_nodal,
     vmm_with_ir_drop,
 )
 from repro.exceptions import ConfigurationError, ShapeError
+
+
+def _node_index(i: int, j: int, cols: int, plane: int, rows: int) -> int:
+    """Flat index of node (i, j) on plane 0 (wordlines) or 1 (bitlines)."""
+    return plane * rows * cols + i * cols + j
+
+
+def _assemble_nodal_system_loop(
+    g: np.ndarray, v_in: np.ndarray, g_wire: float
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Reference per-cell loop assembly (the readable specification).
+
+    The vectorized assembly must match it stamp by stamp.
+    """
+    rows, cols = g.shape
+    n = 2 * rows * cols
+    builder = sparse.lil_matrix((n, n))
+    rhs = np.zeros(n, dtype=np.float64)
+
+    def add_conductance(a: int, b: int, value: float) -> None:
+        builder[a, a] += value
+        builder[b, b] += value
+        builder[a, b] -= value
+        builder[b, a] -= value
+
+    def add_to_source(a: int, value: float, v_src: float) -> None:
+        builder[a, a] += value
+        rhs[a] += value * v_src
+
+    for i in range(rows):
+        for j in range(cols):
+            w = _node_index(i, j, cols, 0, rows)
+            b = _node_index(i, j, cols, 1, rows)
+            # The memristor bridges the planes.
+            add_conductance(w, b, g[i, j])
+            # Wordline segment towards the driver (j = 0 side).
+            if j == 0:
+                add_to_source(w, g_wire, v_in[i])
+            else:
+                add_conductance(w, _node_index(i, j - 1, cols, 0, rows), g_wire)
+            # Bitline segment towards the TIA (i = rows-1 side).
+            if i == rows - 1:
+                add_to_source(b, g_wire, 0.0)  # virtual ground
+            else:
+                add_conductance(b, _node_index(i + 1, j, cols, 1, rows), g_wire)
+
+    return sparse.csr_matrix(builder), rhs
 
 
 @pytest.fixture()

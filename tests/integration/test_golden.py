@@ -171,16 +171,13 @@ class TestGoldenComparison:
         )
 
     def test_table1_miniature_scalar_tuner(self, request):
-        """The vectorized lifetime hot loop (ISSUE 6) must be invisible
-        too: the scalar reference path selected by REPRO_SCALAR_TUNER
-        hits the exact same snapshot as the default vectorized path."""
-        from repro.core import set_vectorized_enabled
+        """The vectorized lifetime hot loop must be invisible too: the
+        per-device reference tuner of ``tests/tuning/reference.py`` hits
+        the exact same snapshot as the production path."""
+        from tests.tuning.reference import reference_tuner
 
-        prior = set_vectorized_enabled(False)
-        try:
+        with reference_tuner():
             comparison = _miniature_framework().compare()
-        finally:
-            set_vectorized_enabled(prior)
         if request.config.getoption("--update-golden"):
             pytest.skip("snapshot owned by test_table1_miniature")
         _compare_golden(
@@ -195,8 +192,8 @@ class TestGoldenComparison:
 # -- cross-path kill-and-resume (ISSUE 6) -------------------------------------
 class TestCrossPathResume:
     """A checkpoint is path-agnostic: a snapshot written mid-run under
-    the scalar reference path must resume **bit-identically** under the
-    vectorized path (and match the uninterrupted vectorized run) — the
+    the per-device reference tuner must resume **bit-identically** in
+    production (and match the uninterrupted production run) — the
     on-disk state contains everything, and the two paths walk the same
     trajectory from any window boundary."""
 
@@ -223,24 +220,21 @@ class TestCrossPathResume:
     def test_scalar_checkpoint_resumes_under_vectorized_path(
         self, tmp_path, trained_mlp, device_config, blob_dataset
     ):
-        from repro.core import set_vectorized_enabled
         from repro.core.checkpoint import CheckpointManager
         from repro.core.lifetime import LifetimeSimulator
+        from tests.tuning.reference import reference_tuner
 
-        # Reference: uninterrupted run on the default vectorized path.
+        # Reference: uninterrupted run on the production path.
         plain = self._make_sim(trained_mlp, device_config, blob_dataset).run("t+t")
 
-        # Kill-side: a scalar-path run that checkpoints every window.
-        prior = set_vectorized_enabled(False)
-        try:
+        # Kill-side: a reference-tuner run that checkpoints every window.
+        with reference_tuner():
             checkpointed = self._make_sim(
                 trained_mlp, device_config, blob_dataset
             ).run("t+t", checkpoint_every=1, checkpoint_dir=tmp_path, run_id="x")
-        finally:
-            set_vectorized_enabled(prior)
         assert checkpointed.to_dict() == plain.to_dict()
 
-        # Resume each scalar-written snapshot under the vectorized path.
+        # Resume each reference-written snapshot in production.
         for entry in CheckpointManager(tmp_path).entries():
             resumed = LifetimeSimulator.resume(entry.path).run()
             assert resumed.to_dict() == plain.to_dict(), (

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.device.faults import FaultModel, inject_faults_network
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.mapping.differential import (
     DifferentialMappedNetwork,
     DifferentialPairMapping,
 )
+from repro.tuning import OnlineTuner, TuningConfig
 
 
 @pytest.fixture()
@@ -98,6 +100,59 @@ class TestDifferentialNetwork:
             for layer in network.layers:
                 layer.apply_gradient_signs(grads[layer.layer_index], 0.25)
         assert network.evaluate(x, y)[0] <= loss_before + 0.05
+
+    @pytest.mark.parametrize("mask_dead", [False, True])
+    def test_tuner_sweeps_match_per_layer_loop(
+        self, trained_mlp, device_config, blob_dataset, mask_dead
+    ):
+        """The tuner drives a differential network through its
+        ``apply_tuning_sweep``, which equals a per-layer loop of
+        dead-masking then ``apply_gradient_signs`` bit for bit."""
+        assert hasattr(DifferentialMappedNetwork, "apply_tuning_sweep")
+        x, y = blob_dataset.x_train[:64], blob_dataset.y_train[:64]
+
+        def per_layer_sweep(net):
+            def sweep(grads, threshold, step_fraction, mask_dead=False):
+                for layer in net.layers:
+                    grad = grads[layer.layer_index]
+                    if mask_dead:
+                        dead = layer.dead_device_mask()
+                        if dead.any():
+                            grad = np.where(dead, 0.0, grad)
+                    layer.apply_gradient_signs(grad, threshold, step_fraction)
+
+            return sweep
+
+        def session(test_side_loop):
+            net = DifferentialMappedNetwork(trained_mlp, device_config, seed=31)
+            net.map_network()
+            net.apply_drift(0.6)
+            inject_faults_network(net, FaultModel(rate_lrs=0.3), seed=32)
+            if test_side_loop:
+                net.apply_tuning_sweep = per_layer_sweep(net)
+            tuner = OnlineTuner(
+                TuningConfig(
+                    target_accuracy=0.999,
+                    max_iterations=6,
+                    batch_size=16,
+                    threshold=0.05,
+                    mask_dead_devices=mask_dead,
+                ),
+                seed=33,
+            )
+            return net, tuner.tune(net, x, y)
+
+        net, result = session(test_side_loop=False)
+        ref_net, ref_result = session(test_side_loop=True)
+        assert result.pulses_applied > 0
+        assert result == ref_result
+        for layer, ref in zip(net.layers, ref_net.layers):
+            for arm, ref_arm in ((layer.plus, ref.plus), (layer.minus, ref.minus)):
+                np.testing.assert_array_equal(arm.resistances(), ref_arm.resistances())
+                for (_, _, tile), (_, _, ref_tile) in zip(
+                    arm.iter_tiles(), ref_arm.iter_tiles()
+                ):
+                    np.testing.assert_array_equal(tile.pulse_counts, ref_tile.pulse_counts)
 
     def test_gradient_shape_check(self, network):
         with pytest.raises(ShapeError):

@@ -1,11 +1,12 @@
-"""Equivalence battery: vectorized tuning path vs scalar reference.
+"""Equivalence battery: the tuning hot loop vs its per-device oracle.
 
-ISSUE 6's lock-down suite.  The vectorized lifetime hot loop
-(DESIGN.md §11) — batched ``program_pulses`` sweeps, read-reuse
-memoization, cached aged bounds — must be **bit-identical** to the
-scalar reference path selected by ``REPRO_SCALAR_TUNER``: same
-conductances, same pulse/stress bookkeeping, same RNG bit-generator
-states, same :class:`TuningResult` down to the accuracy trace.
+The production lifetime hot loop (DESIGN.md §11) — batched
+``program_pulses`` sweeps, read-reuse memoization, cached aged bounds —
+must be **bit-identical** to the test-only reference in
+:mod:`tests.tuning.reference` (per-device Eq. (5) pulses, value caches
+off): same conductances, same pulse/stress bookkeeping, same RNG
+bit-generator states, same :class:`TuningResult` down to the accuracy
+trace.
 
 The property tests drive random configurations (network width, batch
 sizes beyond the tuning-set length, amplitude-halving edges,
@@ -19,20 +20,19 @@ kernel-bench smoke job; the default profile runs in the tier-1 suite.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fastpath
-from repro.core.fastpath import set_vectorized_enabled, vectorized_enabled
 from repro.data import make_blobs
 from repro.device import DeviceConfig
 from repro.device.faults import FaultModel, inject_faults_network
 from repro.mapping import MappedNetwork
 from repro.nn import Activation, Dense, Sequential
 from repro.tuning import OnlineTuner, TuningConfig
+from tests.tuning.reference import reference_tuner
 
 MAX_EXAMPLES = 5 if os.environ.get("HYPOTHESIS_PROFILE") == "smoke" else 25
 
@@ -97,9 +97,9 @@ def _assert_snapshots_equal(a: dict, b: dict) -> None:
 
 
 def _run_session(vectorized: bool, params: dict) -> dict:
-    """One full map → degrade → tune session under one path."""
-    prior = set_vectorized_enabled(vectorized)
-    try:
+    """One full map → degrade → tune session, in production
+    (``vectorized``) or under the per-device reference."""
+    with nullcontext() if vectorized else reference_tuner():
         device = DeviceConfig(
             n_levels=6,
             pulses_to_collapse=60,
@@ -143,12 +143,10 @@ def _run_session(vectorized: bool, params: dict) -> dict:
         )
         result = tuner.tune(network, _X, _Y)
         return _snapshot(network, tuner, result)
-    finally:
-        set_vectorized_enabled(prior)
 
 
 class TestPathEquivalence:
-    """Vectorized and scalar paths end in bit-identical states."""
+    """Production and reference end in bit-identical states."""
 
     @given(
         hidden=st.sampled_from([6, 10]),
@@ -247,28 +245,3 @@ class TestPathEquivalence:
         _assert_snapshots_equal(
             _run_session(True, params), _run_session(False, params)
         )
-
-
-class TestEnvironmentSwitch:
-    """The REPRO_SCALAR_TUNER env var selects the reference path."""
-
-    @pytest.mark.parametrize(
-        ("value", "expected"),
-        [("1", False), ("true", False), ("0", True), ("", True)],
-    )
-    def test_env_resolution(self, value, expected, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALAR_TUNER", value)
-        prior = fastpath._VECTORIZED
-        fastpath._VECTORIZED = None  # force a fresh env read
-        try:
-            assert vectorized_enabled() is expected
-        finally:
-            fastpath._VECTORIZED = prior
-
-    def test_set_returns_previous(self):
-        first = set_vectorized_enabled(False)
-        try:
-            assert vectorized_enabled() is False
-            assert set_vectorized_enabled(first) is False
-        finally:
-            set_vectorized_enabled(first)
