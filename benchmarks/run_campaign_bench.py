@@ -20,11 +20,9 @@ parallel win (0.99x) — run two ways:
 * parallel: the executor groups points into adaptive chunked pool
   submissions that amortize serialization/IPC;
 
-plus a **service arm**: the same big grid submitted as a campaign job
-and drained by worker processes through the shared journal/lease
-scheduler (``repro serve``'s machinery), timed end to end and verified
-bit-identical.  Results go to ``BENCH_campaign.json`` (grids) and
-``BENCH_service.json`` (service arm) at the repository root.
+Results go to ``BENCH_campaign.json`` at the repository root, and one
+record per run — absolute seconds of every arm, worker count,
+``cpu_count`` and the git SHA — is appended to ``BENCH_history.jsonl``.
 
 The horizon (``MAX_WINDOWS`` windows) is beyond every point's lifetime,
 so each run ends in failure and the grids compare real lifetimes, not
@@ -38,7 +36,7 @@ Usage::
 ``REPRO_BENCH_WORKERS`` overrides the worker count,
 ``REPRO_BENCH_RATES`` (comma-separated) the standard fault-rate sweep,
 ``REPRO_BENCH_BIG_RATES`` the big grid's sweep, and
-``REPRO_BENCH_SKIP_BIG=1`` skips the big grid + service arms entirely.
+``REPRO_BENCH_SKIP_BIG=1`` skips the big grid entirely.
 ``REPRO_BENCH_MIN_PARALLEL_SPEEDUP`` (e.g. ``1.3``) turns the big
 grid's chunked-parallel speedup into a hard gate — CI sets it on
 multicore runners.
@@ -52,7 +50,6 @@ so (``cpu_count`` is part of the output).
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pathlib
 import sys
@@ -143,7 +140,7 @@ def saturated_points(report) -> list:
     ]
 
 
-def standard_grid_arms(repo_root: pathlib.Path) -> dict:
+def standard_grid_arms() -> dict:
     points = build_grid(kinds=("stuck_at",), rates=RATES, window=1)
 
     serial, t_serial = timed_run(points, workers=1)
@@ -209,88 +206,32 @@ def big_grid_arms() -> dict:
         "reports_identical_across_modes": chunked.to_dict() == serial.to_dict(),
         "longest_lifetime": max(r.lifetime_applications for r in serial.records),
         "saturated_points": saturated_points(serial),
-        "serial_reference": serial.to_dict(),
-    }
-
-
-def service_arm(repo_root: pathlib.Path, serial_reference: dict) -> dict:
-    """The same big grid drained by worker processes via the job store."""
-    from repro.service import CampaignJobSpec, JobStore, worker_main
-
-    # blobs-mini (full) is this benchmark's workload as a preset: the
-    # framework configs are identical, so the content-hash point keys
-    # match the direct FaultCampaign arms exactly.
-    spec = CampaignJobSpec(
-        preset="blobs-mini",
-        fast=False,
-        kinds=("stuck_at", "drift"),
-        rates=BIG_RATES,
-        window=1,
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        store = JobStore(tmp, lease_ttl=120.0)
-        start = time.perf_counter()
-        job_id = store.submit(spec)
-        procs = [
-            multiprocessing.Process(
-                target=worker_main,
-                kwargs={
-                    "jobs_root": tmp,
-                    "drain": True,
-                    "worker_id": f"bench-w{i}",
-                    "lease_ttl": 120.0,
-                    "use_cache": False,
-                },
-            )
-            for i in range(WORKERS)
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join()
-        result = store.result(job_id)
-        elapsed = time.perf_counter() - start
-        status = store.status(job_id)
-        leases = status.leases
-    return {
-        "benchmark": "campaign service: job store + lease scheduler, "
-        "multi-process drain (big grid)",
-        "grid_points": status.total,
-        "workers": WORKERS,
-        "cpu_count": os.cpu_count(),
-        "service_seconds": round(elapsed, 3),
-        "points_per_minute": per_minute(status.total, elapsed),
-        "chunks": leases,
-        "report_identical_to_serial": result == serial_reference,
     }
 
 
 def main() -> int:
     repo_root = pathlib.Path(__file__).resolve().parent.parent
 
+    standard = standard_grid_arms()
     payload = {
         "benchmark": f"stuck-at fault campaign over {SCENARIO} "
         "(miniature blobs workload)",
         "horizon_applications": HORIZON,
         "cpu_count": os.cpu_count(),
-        "standard_grid": standard_grid_arms(repo_root),
+        "standard_grid": standard,
     }
-    ok = payload["standard_grid"]["reports_identical_across_modes"]
-    if payload["standard_grid"]["journal"]["relaunch_reexecuted"]:
+    ok = standard["reports_identical_across_modes"]
+    if standard["journal"]["relaunch_reexecuted"]:
         print("ERROR: journal relaunch re-executed points", file=sys.stderr)
         ok = False
 
-    saturated = list(payload["standard_grid"]["saturated_points"])
+    saturated = list(standard["saturated_points"])
 
-    service_payload = None
+    big: dict = {}
     if not SKIP_BIG:
-        big = big_grid_arms()
-        serial_reference = big.pop("serial_reference")
-        payload["big_grid"] = big
+        big = payload["big_grid"] = big_grid_arms()
         saturated += big["saturated_points"]
         ok = ok and big["reports_identical_across_modes"]
-        service_payload = service_arm(repo_root, serial_reference)
-        ok = ok and service_payload["report_identical_to_serial"]
         if MIN_SPEEDUP and big["speedup_chunked_vs_serial"] < MIN_SPEEDUP:
             print(
                 f"ERROR: chunked parallel speedup "
@@ -308,19 +249,17 @@ def main() -> int:
         repo_root,
         "campaign",
         {
-            "speedup_chunked_vs_serial": payload.get("big_grid", {}).get(
-                "speedup_chunked_vs_serial"
-            ),
-            "reports_identical": payload["standard_grid"][
-                "reports_identical_across_modes"
-            ],
+            "workers": WORKERS,
+            "cpu_count": os.cpu_count(),
+            "serial_seconds": standard["serial_seconds"],
+            "parallel_seconds": standard["parallel_seconds"],
+            "big_serial_seconds": big.get("serial_seconds"),
+            "chunked_seconds": big.get("chunked_seconds"),
+            "speedup_chunked_vs_serial": big.get("speedup_chunked_vs_serial"),
+            "reports_identical": standard["reports_identical_across_modes"]
+            and big.get("reports_identical_across_modes", True),
         },
     )
-    if service_payload is not None:
-        (repo_root / "BENCH_service.json").write_text(
-            json.dumps(service_payload, indent=2) + "\n"
-        )
-        print(json.dumps(service_payload, indent=2))
     if saturated:
         print(f"ERROR: {saturated} ran to the horizon", file=sys.stderr)
         ok = False

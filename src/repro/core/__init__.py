@@ -31,7 +31,6 @@ from repro.core.checkpoint import (
 from repro.core.executor import (
     ParallelExecutor,
     ResultCache,
-    RetryPolicy,
     Task,
     TaskOutcome,
     adaptive_chunk_size,
@@ -74,7 +73,6 @@ __all__ = [
     "PerfDelta",
     "PerfRegistry",
     "ResultCache",
-    "RetryPolicy",
     "RunJournal",
     "SCENARIOS",
     "Scenario",

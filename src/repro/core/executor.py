@@ -25,8 +25,12 @@ Failure policy: every task runs once.  A raising task fails alone.  A
 task that kills its worker process fails alone too: when the pool
 breaks, every task whose result was lost is re-run by itself in a
 one-worker pool, and only a task that breaks that pool again is charged
-with the ``BrokenProcessPool`` error.  Retrying is left to the campaign
-service (:class:`RetryPolicy` and the lease board), never done here.
+with the ``BrokenProcessPool`` error.  Nothing is retried.
+
+Crash safety: a journaled run records each pool submission's results
+as soon as that submission comes back, so a killed parent loses only
+the work still in flight; and every pool worker exits on its own once
+its parent is gone, so a killed parent leaves no orphaned workers.
 
 Tasks are shipped to workers with :mod:`cloudpickle` when available, so
 closures and lambdas (ubiquitous in presets and test fixtures) work;
@@ -39,9 +43,15 @@ import hashlib
 import json
 import logging
 import os
+import threading
 import time
 import traceback
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    as_completed,
+)
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +77,9 @@ _MISS = object()
 
 #: Seconds a terminated pool worker gets to exit before it is killed.
 _TERMINATE_GRACE_S = 5.0
+
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_POLL_S = 0.5
 
 
 # -- fingerprinting -----------------------------------------------------------
@@ -207,97 +220,6 @@ class ResultCache:
         return removed
 
 
-# -- retry policy -------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retries with exponential backoff, for in-process calls.
-
-    :meth:`call` re-runs a raising callable up to ``max_retries``
-    further times; before the *n*-th retry it sleeps
-    ``min(backoff_max, backoff_base * 2**(n-1))`` seconds.  The campaign
-    service uses it for point execution and for its HTTP client; the
-    :class:`ParallelExecutor` never retries.  Retries re-run the
-    identical payload, so for derivation-seeded work a retried success
-    is bit-identical to a first-attempt success — retrying can only
-    recover *transient* infrastructure failures (flaky filesystem,
-    dropped connection), never change a result.
-
-    ``jitter`` (a fraction in ``[0, 1]``) spreads the delays of
-    simultaneous retriers: the backoff is scaled by a factor drawn
-    deterministically from ``(jitter_seed, token, failures)``, landing
-    in ``[1 - jitter, 1]`` of the nominal delay.  Give each worker of a
-    fleet a distinct ``jitter_seed`` (or pass a per-worker ``token`` to
-    :meth:`delay`) so a shared-cache hiccup does not make every worker
-    retry in lock-step — the thundering herd that knocked the cache
-    over in the first place.  The schedule stays fully deterministic:
-    the same (seed, token, failure count) always yields the same delay.
-    """
-
-    max_retries: int = 2
-    backoff_base: float = 0.1
-    backoff_max: float = 5.0
-    jitter: float = 0.0
-    jitter_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.backoff_base < 0 or self.backoff_max < 0:
-            raise ConfigurationError("backoff delays must be >= 0")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1], got {self.jitter}"
-            )
-
-    def _jitter_factor(self, failures: int, token: Optional[str]) -> float:
-        blob = f"{self.jitter_seed}/{token}/{failures}".encode("utf-8")
-        unit = int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") / 2.0**64
-        return 1.0 - self.jitter * unit
-
-    def delay(self, failures: int, token: Optional[str] = None) -> float:
-        """Backoff before the retry following the ``failures``-th failure.
-
-        ``token`` (e.g. a worker id or task key) decorrelates the jitter
-        of concurrent retriers without sacrificing determinism.
-        """
-        if failures < 1:
-            return 0.0
-        base = min(self.backoff_max, self.backoff_base * (2.0 ** (failures - 1)))
-        if self.jitter <= 0.0 or base <= 0.0:
-            return base
-        return base * self._jitter_factor(failures, token)
-
-    def call(
-        self,
-        fn: Callable[[], Any],
-        token: Optional[str] = None,
-        retryable: Optional[Callable[[BaseException], bool]] = None,
-    ) -> Any:
-        """Run ``fn()`` with this policy's retry schedule applied.
-
-        Shared by the service worker (point execution) and the HTTP
-        client (transient network errors).  ``retryable`` filters
-        which exceptions are worth another attempt — anything it
-        rejects (or every exception, once ``max_retries`` is exhausted)
-        propagates unchanged.
-        """
-        failures = 0
-        while True:
-            try:
-                return fn()
-            except Exception as exc:
-                if retryable is not None and not retryable(exc):
-                    raise
-                failures += 1
-                if failures > self.max_retries:
-                    raise
-                time.sleep(self.delay(failures, token=token))
-
-
-
-
 # -- tasks --------------------------------------------------------------------
 @dataclass
 class Task:
@@ -361,6 +283,25 @@ def adaptive_chunk_size(
     return max(1, min(max_chunk, -(-n_tasks // per_worker)))
 
 
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once its parent process is gone.
+
+    A parent killed by SIGKILL cannot shut its pool down, and the
+    orphaned workers would be reparented and keep running.  A daemon
+    thread polls ``os.getppid()`` and exits the worker as soon as it
+    changes.  The parent is the pid seen at start-up, so the check also
+    holds for start methods whose workers are forked by a helper.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 def _run_task_chunk(blobs: List[bytes]) -> List[bytes]:
     """Worker-side trampoline: run a chunk of serialized tasks in order.
 
@@ -413,6 +354,8 @@ class ParallelExecutor:
     one-worker pool.  A suspect that breaks that pool is the crasher and
     fails with the ``BrokenProcessPool`` error; the pool is rebuilt for
     the next suspect, so the rebuilds are bounded by the suspects.
+    Successful results are journaled chunk by chunk as they come back,
+    and pool workers exit when their parent dies.
     """
 
     def __init__(
@@ -486,9 +429,9 @@ class ParallelExecutor:
     def _journal_record(self, task: Task, value: Any) -> None:
         """Durably append a completed task.
 
-        Called per task (serial) or once the pool round is collected
-        (parallel), not after the whole ``run`` — the crash-safety
-        granularity the journal exists for.
+        Called per task (serial) or per chunk as its pool submission
+        comes back (parallel), never after the whole ``run`` — the
+        crash-safety granularity the journal exists for.
         """
         journal_key = self._journal_key(task)
         if journal_key is None:
@@ -542,7 +485,10 @@ class ParallelExecutor:
 
     # -- parallel path ----------------------------------------------------
     def _make_pool(self, n_chunks: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=min(self.workers, max(1, n_chunks)))
+        return ProcessPoolExecutor(
+            max_workers=min(self.workers, max(1, n_chunks)),
+            initializer=_exit_with_parent,
+        )
 
     @staticmethod
     def _destroy_pool(pool: ProcessPoolExecutor) -> None:
@@ -592,14 +538,16 @@ class ParallelExecutor:
         """Submit every chunk to ``pool`` and wait for all of them.
 
         Fills ``entries`` with one :func:`_run_task_chunk` entry per
-        task.  Returns the members of chunks lost to a broken pool (each
-        entered as failed with the pool's error) after destroying the
-        pool; a healthy pool is left running for the caller.
+        task, journaling each chunk's successes as soon as that chunk
+        comes back.  Returns the members of chunks lost to a broken pool
+        (each entered as failed with the pool's error) after destroying
+        the pool; a healthy pool is left running for the caller.
         """
         lost: List[int] = []
         try:
-            futures = [self._submit(pool, tasks, chunk) for chunk in chunks]
-            for chunk, future in zip(chunks, futures):
+            futures = {self._submit(pool, tasks, chunk): chunk for chunk in chunks}
+            for future in as_completed(futures):
+                chunk = futures[future]
                 try:
                     raws = future.result()
                 except BrokenExecutor as exc:
@@ -608,13 +556,15 @@ class ParallelExecutor:
                     entries.update((idx, (False, exc, 0.0, text)) for idx in chunk)
                     continue
                 for idx, raw in zip(chunk, raws):
-                    entries[idx] = _serializer.loads(raw)
+                    entries[idx] = entry = _serializer.loads(raw)
+                    if entry[0]:
+                        self._journal_record(tasks[idx], entry[1])
         except BaseException:
             self._destroy_pool(pool)
             raise
         if lost:
             self._destroy_pool(pool)
-        return lost
+        return sorted(lost)  # task order, whatever order chunks broke in
 
     def _run_parallel(self, tasks, pending, outcomes, reraise) -> None:
         todo: List[int] = []
@@ -654,7 +604,6 @@ class ParallelExecutor:
             ok, result, seconds, text = entries[idx]
             if ok:
                 outcomes[idx] = TaskOutcome(task.key, value=result, seconds=seconds)
-                self._journal_record(task, result)
                 continue
             if first_error is None:
                 first_error = result

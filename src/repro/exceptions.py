@@ -44,47 +44,3 @@ class DeviceError(ReproError, RuntimeError):
 
 class CheckpointError(ReproError, RuntimeError):
     """A checkpoint file is missing, corrupt, or from an unknown schema."""
-
-
-class ServiceError(ReproError, RuntimeError):
-    """A campaign-service operation failed (unknown job, bad spec, HTTP error).
-
-    ``retryable`` distinguishes errors a caller may sensibly retry
-    (transient infrastructure trouble) from ones that will fail the
-    same way every time (bad spec, unknown job, 4xx responses).
-    """
-
-    #: Whether retrying the same operation can plausibly succeed.
-    retryable = False
-
-
-class ServiceUnavailableError(ServiceError):
-    """The campaign service could not be reached or answered 5xx.
-
-    Raised by :class:`~repro.service.client.ServiceClient` for
-    connection failures (``urllib.error.URLError``,
-    ``ConnectionResetError``) and HTTP 5xx responses — the transient
-    class of failures worth retrying with backoff.  4xx responses stay
-    plain (fatal) :class:`ServiceError`.
-    """
-
-    retryable = True
-
-
-class CorruptStateError(ReproError, RuntimeError):
-    """A guarded on-disk state file failed its checksum or did not parse.
-
-    Raised by :func:`repro.io.load_json_guarded`; the campaign service
-    catches it and rebuilds the damaged file (``leases.json`` /
-    ``state.json``) from the journal, which stays the single source of
-    truth.
-    """
-
-
-class ChaosError(ReproError, RuntimeError):
-    """A failure injected by the chaos harness (never raised in production).
-
-    Deliberately *not* a subclass of the errors it imitates: recovery
-    paths must treat it like any other unexpected exception, which is
-    exactly what the chaos battery verifies.
-    """

@@ -114,9 +114,10 @@ class FaultCampaign:
         The same fingerprint the :class:`ResultCache` uses, so journal
         replay obeys identical invalidation semantics: any change to the
         framework config, dataset, scenario or fault grid re-executes.
-        The campaign service leases and journals grid points under these
-        keys, which is what keeps service-drained campaigns idempotent
-        and bit-identical to serial runs.
+        Journaling under these keys is what lets a killed campaign, or a
+        sibling process sharing its journal, replay finished points
+        instead of re-running them, with a report bit-identical to a
+        serial run.
         """
         extra = (
             None
@@ -154,8 +155,8 @@ class FaultCampaign:
             for p in points:
                 key = self.point_key(p) if self.journal is not None else None
                 if key is not None:
-                    # Pick up points completed by concurrent drainers of
-                    # the same journal (service workers, sibling runs).
+                    # Pick up points completed by sibling `repro campaign`
+                    # processes sharing the same journal.
                     self.journal.refresh()
                 if key is not None and key in self.journal:
                     self.journal.skipped += 1

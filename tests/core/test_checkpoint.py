@@ -340,7 +340,7 @@ class TestJournal:
 
 
 class TestJournalSharing:
-    """Two journal handles on one file: the service-worker access pattern."""
+    """Two journal handles on one file: sibling campaign processes."""
 
     def test_refresh_picks_up_sibling_appends(self, tmp_path):
         path = tmp_path / "run.jsonl"

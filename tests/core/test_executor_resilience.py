@@ -5,9 +5,7 @@ equivalence and basic failure surfacing) with the failure contract: a
 raising task runs once and fails alone, a task that kills its worker
 fails alone with a ``BrokenProcessPool`` error while its siblings
 complete, no worker process outlives the run, and corrupt cache entries
-are quarantined rather than silently re-missed forever.  The
-:class:`RetryPolicy` the campaign service retries with is pinned here
-too.
+are quarantined rather than silently re-missed forever.
 """
 
 import multiprocessing
@@ -16,8 +14,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.core import ParallelExecutor, ResultCache, RetryPolicy, Task
-from repro.exceptions import ConfigurationError
+from repro.core import ParallelExecutor, ResultCache, Task
 
 
 # -- task bodies (module-level so the pool can ship them) ---------------------
@@ -41,22 +38,6 @@ def _flaky(counter_path, succeed_on):
 
 def _die(_x):
     os._exit(3)  # simulate a hard worker crash (segfault/OOM-kill)
-
-
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_base=-0.1)
-
-    def test_exponential_backoff_with_cap(self):
-        policy = RetryPolicy(max_retries=5, backoff_base=0.1, backoff_max=0.35)
-        assert policy.delay(0) == 0.0
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.35)  # capped
-        assert policy.delay(10) == pytest.approx(0.35)
 
 
 class TestSingleAttempt:

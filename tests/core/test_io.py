@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.results import LifetimeResult, ScenarioComparison, WindowRecord
-from repro.exceptions import ConfigurationError, CorruptStateError
+from repro.exceptions import ConfigurationError
 from repro.io import (
     load_comparison,
-    load_json_guarded,
     load_result,
     load_weights,
     result_from_dict,
     result_to_dict,
     save_comparison,
-    save_json_guarded,
     save_result,
     save_weights,
 )
@@ -69,42 +67,6 @@ class TestWeights:
         ).build((4,))
         with pytest.raises(ConfigurationError):
             load_weights(bigger, path)
-
-
-class TestGuardedJson:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "state.json"
-        payload = {"status": "running", "nested": {"x": [1, 2, 3]}}
-        save_json_guarded(payload, path)
-        assert load_json_guarded(path) == payload
-
-    def test_missing_file_raises_file_not_found(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_json_guarded(tmp_path / "nope.json")
-
-    def test_torn_write_detected(self, tmp_path):
-        path = tmp_path / "state.json"
-        save_json_guarded({"status": "running"}, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(CorruptStateError):
-            load_json_guarded(path)
-
-    def test_bit_rot_detected_by_checksum(self, tmp_path):
-        path = tmp_path / "state.json"
-        save_json_guarded({"status": "running"}, path)
-        # Flip payload content while keeping the file valid JSON: only
-        # the embedded digest can catch this.
-        text = path.read_text().replace("running", "rynning")
-        path.write_text(text)
-        with pytest.raises(CorruptStateError, match="checksum"):
-            load_json_guarded(path)
-
-    def test_unguarded_document_rejected(self, tmp_path):
-        path = tmp_path / "state.json"
-        path.write_text('{"status": "running"}')
-        with pytest.raises(CorruptStateError):
-            load_json_guarded(path)
 
 
 class TestResults:

@@ -1,341 +1,64 @@
-"""Worker drain tests: bit-identity, cooperation, crash recovery.
+"""What campaign workers sharing one journal rely on.
 
-The acceptance bar from DESIGN.md §12: any worker interleaving —
-including a worker dying mid-chunk and its lease being stolen — yields
-a report bit-identical to the serial campaign, with every completed
-point journaled exactly once and never re-executed.
+Sibling ``repro campaign`` processes, and the pool workers of one
+parallel campaign, all write the same :class:`RunJournal`.  A point a
+sibling has journaled is replayed instead of re-executed, and every
+journal payload the parallel path writes decodes back to the
+:class:`LifetimeResult` the report was built from.
 """
 
-import json
-import threading
-import time
-
-from repro.core.executor import RetryPolicy
+from repro.core import RunJournal
+from repro.core.framework import AgingAwareFramework
 from repro.core.results import LifetimeResult
-from repro.service import CampaignJobSpec, JobStore, ServiceWorker
-from repro.service.jobs import failure_key
+from repro.robustness import FaultCampaign, build_grid, record_from_result
+from tests.robustness.conftest import make_mini_framework
 
-
-def _journal_lines(store, job_id):
-    path = store.job_dir(job_id) / "journal.jsonl"
-    return [ln for ln in path.read_text().splitlines() if ln.strip()]
-
-
-class TestSingleWorker:
-    def test_drain_matches_serial_campaign(self, tmp_path, spec, golden_report):
-        store = JobStore(tmp_path)
-        job_id = store.submit(spec)
-        worker = ServiceWorker(store, worker_id="solo")
-        executed = worker.drain()
-        assert executed == 3
-        assert store.status(job_id).status == "done"
-        assert store.result(job_id) == golden_report.to_dict()
-        # Exactly one journal line per grid point.
-        assert len(_journal_lines(store, job_id)) == 3
-
-    def test_redrain_executes_nothing(self, tmp_path, spec):
-        store = JobStore(tmp_path)
-        store.submit(spec)
-        ServiceWorker(store, worker_id="first").drain()
-        again = ServiceWorker(store, worker_id="second")
-        assert again.drain() == 0
-
-    def test_resubmit_after_drain_resumes_done_job(self, tmp_path, spec):
-        store = JobStore(tmp_path)
-        job_id = store.submit(spec)
-        ServiceWorker(store, worker_id="w").drain()
-        assert store.submit(spec) == job_id
-        assert store.status(job_id).status == "done"
-
-    def test_cancel_stops_execution(self, tmp_path, spec):
-        store = JobStore(tmp_path)
-        job_id = store.submit(
-            CampaignJobSpec(**{**spec.to_dict(), "chunk_points": 3})
-        )
-        store.cancel(job_id)
-        worker = ServiceWorker(store, worker_id="w")
-        assert worker.drain() == 0
-        assert store.status(job_id).status == "cancelled"
+#: Baseline + two stuck-at rates, degradation off: three points.
+GRID = dict(kinds=("stuck_at",), rates=(0.01, 0.02), window=1, with_degradation=False)
 
 
 class TestTwoWorkers:
-    def test_cooperative_drain_is_bit_identical(self, tmp_path, spec, golden_report):
-        store = JobStore(tmp_path)
-        job_id = store.submit(
-            CampaignJobSpec(**{**spec.to_dict(), "chunk_points": 1})
+    def test_second_worker_skips_journaled_points(self, tmp_path, monkeypatch):
+        points = build_grid(**GRID)
+        path = tmp_path / "campaign.jsonl"
+        framework = make_mini_framework()
+        campaign = FaultCampaign(framework, scenario="st+at", journal=RunJournal(path))
+
+        # A sibling process journals the first point after this campaign
+        # opened the journal: the campaign must pick it up on refresh.
+        first = points[0]
+        sibling_result = framework.run_scenario(
+            "st+at", fault_schedule=first.schedule, degradation=first.degradation
         )
-        alice = ServiceWorker(store, worker_id="alice")
-        bob = ServiceWorker(store, worker_id="bob")
-        # Interleave chunk-by-chunk: each run_once claims one chunk.
-        progressed = True
-        while progressed:
-            progressed = alice.run_once() | bob.run_once()
-        assert alice.points_executed + bob.points_executed == 3
-        assert alice.points_executed > 0 and bob.points_executed > 0
-        assert len(_journal_lines(store, job_id)) == 3
-        assert store.result(job_id) == golden_report.to_dict()
+        RunJournal(path).record(campaign.point_key(first), sibling_result.to_dict())
 
-    def test_second_worker_skips_journaled_points(self, tmp_path, spec):
-        store = JobStore(tmp_path)
-        # One chunk spanning the whole grid: bob's stolen/receased chunk
-        # must skip the point alice already journaled.
-        job_id = store.submit(
-            CampaignJobSpec(**{**spec.to_dict(), "chunk_points": 3})
-        )
-        document = store.load(job_id)
-        speck = CampaignJobSpec.from_dict(document["spec"])
-        framework = speck.build_framework()
-        point = speck.build_points()[0]
-        result = framework.run_scenario(
-            speck.scenario, repeat=speck.repeat,
-            fault_schedule=point.schedule, degradation=point.degradation,
-        )
-        store.journal(job_id).record(document["points"][0]["key"], result.to_dict())
+        executed = []
+        run_scenario = AgingAwareFramework.run_scenario
 
-        bob = ServiceWorker(store, worker_id="bob")
-        assert bob.drain() == 2  # the journaled point is not re-executed
+        def counting(self, *args, **kwargs):
+            executed.append(kwargs.get("fault_schedule"))
+            return run_scenario(self, *args, **kwargs)
 
-
-class TestCrashRecovery:
-    def test_dead_workers_chunk_is_stolen_and_no_points_lost(
-        self, tmp_path, spec, golden_report
-    ):
-        # Short TTL so the "dead" worker's lease expires quickly.
-        store = JobStore(tmp_path, lease_ttl=0.05)
-        job_id = store.submit(
-            CampaignJobSpec(**{**spec.to_dict(), "chunk_points": 3})
-        )
-        document = store.load(job_id)
-
-        # Worker A claims the only chunk, completes ONE point, then
-        # "dies": no renewals, no completion, lease left dangling.
-        lease = store.leases(job_id).claim("doomed")
-        assert lease is not None and not lease.stolen
-        speck = CampaignJobSpec.from_dict(document["spec"])
-        framework = speck.build_framework()
-        point = speck.build_points()[0]
-        result = framework.run_scenario(
-            speck.scenario, repeat=speck.repeat,
-            fault_schedule=point.schedule, degradation=point.degradation,
-        )
-        store.journal(job_id).record(document["points"][0]["key"], result.to_dict())
-
-        time.sleep(0.1)  # let the lease expire
-
-        rescuer = ServiceWorker(store, worker_id="rescuer")
-        executed = rescuer.drain()
-        # The journaled point survived the crash: only 2 re-executed.
-        assert executed == 2
-        assert store.leases(job_id).snapshot()["stolen"] == 1
-        assert len(_journal_lines(store, job_id)) == 3
-        assert store.result(job_id) == golden_report.to_dict()
-
-    def test_unbuildable_job_is_failed_not_looped(self, tmp_path, spec):
-        store = JobStore(tmp_path)
-        job_id = store.submit(spec)
-        # Corrupt the stored spec the way a bad deploy would: the
-        # preset no longer exists on the worker.
-        job_path = store.job_dir(job_id) / "job.json"
-        document = json.loads(job_path.read_text())
-        document["spec"]["preset"] = "removed-preset"
-        job_path.write_text(json.dumps(document))
-
-        worker = ServiceWorker(store, worker_id="w")
-        worker.drain()
-        status = store.status(job_id)
-        assert status.status == "failed"
-        assert "removed-preset" in (status.error or "")
-
-
-def _fast_retry(seed: int = 1) -> RetryPolicy:
-    return RetryPolicy(max_retries=2, backoff_base=0.001, jitter=0.5, jitter_seed=seed)
-
-
-class _PoisonWorker(ServiceWorker):
-    """Worker whose simulation deterministically crashes one point."""
-
-    poison_name = "stuck_at@0.01/raw"
-
-    def _run_point(self, framework, spec, point, key):
-        if point.name == self.poison_name:
-            raise RuntimeError(f"poison point {point.name}")
-        return super()._run_point(framework, spec, point, key)
-
-
-class TestPoisonPoints:
-    def test_poison_point_quarantined_healthy_chunkmates_survive(
-        self, tmp_path, spec, golden_report
-    ):
-        store = JobStore(tmp_path)
-        # One chunk spanning the whole grid: the poison point must not
-        # drag its two healthy chunk-mates down with it.
-        job_id = store.submit(
-            CampaignJobSpec(**{**spec.to_dict(), "chunk_points": 3})
-        )
-        worker = _PoisonWorker(store, worker_id="w", retry=_fast_retry())
-        worker.drain()
-        # Healthy points executed once each, never re-run across the
-        # chunk's three attempts.
-        assert worker.points_executed == 2
-
-        status = store.status(job_id)
-        assert status.status == "completed_with_failures"
-        assert (status.done, status.failed) == (2, 1)
-        snapshot = store.leases(job_id).snapshot()
-        assert snapshot["quarantined"] == 1 and snapshot["leased"] == 0
-
-        journal = store.journal(job_id)
-        poison_key = next(
-            p["key"]
-            for p in store.load(job_id)["points"]
-            if p["name"] == _PoisonWorker.poison_name
-        )
-        record = journal.get(failure_key(poison_key))
-        assert record["attempts"] == store.max_chunk_attempts
-        assert "poison point" in record["error"]
-
-        result = store.result(job_id)
-        golden = {r["point"]: r for r in golden_report.to_dict()["records"]}
-        for rec in result["records"]:
-            if rec["point"] == _PoisonWorker.poison_name:
-                assert rec["failed"]
-            else:
-                assert rec == golden[rec["point"]]
-
-    def test_two_workers_share_the_quarantine_verdict(
-        self, tmp_path, spec, golden_report
-    ):
-        store = JobStore(tmp_path)
-        job_id = store.submit(
-            CampaignJobSpec(**{**spec.to_dict(), "chunk_points": 1})
-        )
-        workers = [
-            _PoisonWorker(store, worker_id=f"w{i}", retry=_fast_retry(i))
-            for i in range(2)
+        monkeypatch.setattr(AgingAwareFramework, "run_scenario", counting)
+        report = campaign.run(points)
+        assert campaign.journal.skipped == 1
+        assert executed == [p.schedule for p in points[1:]]
+        monkeypatch.undo()
+        serial = FaultCampaign(make_mini_framework(), scenario="st+at").run(points)
+        assert [r.to_dict() for r in report.records] == [
+            r.to_dict() for r in serial.records
         ]
-        progressed = True
-        while progressed:
-            progressed = False
-            for worker in workers:
-                progressed |= worker.run_once()
-        status = store.status(job_id)
-        assert status.status == "completed_with_failures"
-        assert (status.done, status.failed) == (2, 1)
-        result = store.result(job_id)
-        golden = {r["point"]: r for r in golden_report.to_dict()["records"]}
-        for rec in result["records"]:
-            if not rec["failed"]:
-                assert rec == golden[rec["point"]]
-
-
-class TestDrainLoopResilience:
-    def test_drain_retries_transient_loop_failures(self, tmp_path, spec):
-        store = JobStore(tmp_path)
-        store.submit(spec)
-        worker = ServiceWorker(store, worker_id="w", retry=_fast_retry())
-        real_run_once = worker.run_once
-        calls = {"n": 0}
-
-        def flaky_run_once():
-            calls["n"] += 1
-            if calls["n"] <= 2:
-                raise OSError("jobs directory unreachable")
-            return real_run_once()
-
-        worker.run_once = flaky_run_once
-        assert worker.drain() == 3
-        assert worker.consecutive_failures == 0  # reset by the recovery
-
-    def test_drain_gives_up_after_consecutive_failures(self, tmp_path, spec):
-        store = JobStore(tmp_path)
-        store.submit(spec)
-        worker = ServiceWorker(store, worker_id="w", retry=_fast_retry())
-
-        def always_down():
-            raise OSError("server unreachable")
-
-        worker.run_once = always_down
-        assert worker.drain() == 0
-        assert worker.consecutive_failures == worker.max_consecutive_failures
-
-
-class TestCancelRace:
-    def test_cancel_mid_drain_admits_no_journal_writes(self, tmp_path, spec):
-        """Cancel lands while two workers hold live leases mid-point.
-
-        Both must exit cleanly, discard their in-flight results (no
-        post-cancel journal writes), and hand their leases back.
-        """
-        store = JobStore(tmp_path)
-        job_id = store.submit(
-            CampaignJobSpec(**{**spec.to_dict(), "chunk_points": 1})
-        )
-        barrier = threading.Barrier(3, timeout=60)
-        release = threading.Event()
-
-        class BlockedWorker(ServiceWorker):
-            def _run_point(self, framework, spec_, point, key):
-                result = super()._run_point(framework, spec_, point, key)
-                barrier.wait()  # signal: result computed, lease live
-                release.wait(60)  # hold until the cancel has landed
-                return result
-
-        workers = [
-            BlockedWorker(store, worker_id=f"w{i}", retry=_fast_retry(i))
-            for i in range(2)
-        ]
-        threads = [
-            threading.Thread(target=worker.run_once) for worker in workers
-        ]
-        for thread in threads:
-            thread.start()
-        barrier.wait()  # both workers are mid-point on live leases
-        assert store.leases(job_id).snapshot()["leased"] == 2
-        store.cancel(job_id)
-        release.set()
-        for thread in threads:
-            thread.join(timeout=120)
-            assert not thread.is_alive()
-
-        journal_path = store.job_dir(job_id) / "journal.jsonl"
-        assert not journal_path.exists() or not journal_path.read_text().strip()
-        status = store.status(job_id)
-        assert status.status == "cancelled"
-        assert (status.done, status.failed, status.total) == (0, 0, 3)
-        assert store.leases(job_id).snapshot() == {
-            "pending": 3,
-            "leased": 0,
-            "expired": 0,
-            "done": 0,
-            "quarantined": 0,
-            "stolen": 0,
-        }
-        assert ServiceWorker(store, worker_id="late").drain() == 0
 
 
 class TestSharedCache:
-    def test_workers_share_the_store_cache(self, tmp_path, spec, golden_report):
-        store = JobStore(tmp_path)
-        job_id = store.submit(spec)
-        ServiceWorker(store, worker_id="w").drain()
-        # A second job with the same points is served from the cache:
-        # drain executes them as cache hits (instant) with identical
-        # results.
-        other = CampaignJobSpec(**{**spec.to_dict(), "chunk_points": 3})
-        other_id = store.submit(other)
-        assert other_id != job_id
-        cache = store.cache()
-        hits_before = cache.hits
-        worker = ServiceWorker(store, worker_id="w2")
-        worker.cache = cache  # observe this instance's hit counters
-        worker.drain()
-        assert cache.hits - hits_before == 3
-        assert store.result(other_id) == golden_report.to_dict()
-
-    def test_result_payload_roundtrips(self, tmp_path, spec):
-        store = JobStore(tmp_path)
-        job_id = store.submit(spec)
-        ServiceWorker(store, worker_id="w").drain()
-        journal = store.journal(job_id)
-        for point in store.load(job_id)["points"]:
-            LifetimeResult.from_dict(journal.get(point["key"]))  # must parse
+    def test_result_payload_roundtrips(self, tmp_path):
+        points = build_grid(**GRID)
+        journal = RunJournal(tmp_path / "campaign.jsonl")
+        campaign = FaultCampaign(
+            make_mini_framework(), scenario="st+at", workers=2, journal=journal
+        )
+        report = campaign.run(points)
+        assert len(journal) == len(points)
+        for point, record in zip(points, report.records):
+            result = LifetimeResult.from_dict(journal.get(campaign.point_key(point)))
+            assert record_from_result(point, result).to_dict() == record.to_dict()
