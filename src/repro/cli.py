@@ -28,7 +28,7 @@ import time
 from typing import Optional, Sequence
 
 from repro.analysis import ascii_series, comparison_report, render_table
-from repro.core import AgingAwareFramework, ResultCache, RunJournal
+from repro.core import AgingAwareFramework, ParallelExecutor, ResultCache, RunJournal
 from repro.core.checkpoint import (
     CHECKPOINT_SUFFIX,
     CheckpointManager,
@@ -123,14 +123,15 @@ def cmd_run(args) -> int:
         )
         scenario_label = result.scenario_key
     else:
-        framework = _build_framework(args)
-        result = framework.run_scenario(
+        cache = _make_cache(args)
+        task = _build_framework(args).scenario_task(
             args.scenario,
-            repeat=args.repeat,
-            cache=_make_cache(args),
+            args.repeat,
+            keyed=cache is not None,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
         )
+        result = ParallelExecutor(cache=cache).run([task], reraise=True)[0].value
         scenario_label = args.scenario
     elapsed = time.time() - start
     print(

@@ -18,8 +18,19 @@ Three pieces live here:
 * :class:`ResultCache` — an on-disk JSON store keyed by fingerprint, so
   re-running an unchanged scenario configuration is instant;
 * :class:`ParallelExecutor` — runs a list of :class:`Task` objects
-  serially (``workers <= 1``) or across worker processes, consulting
-  the cache first and capturing per-task failures.
+  serially (``workers <= 1``) or across worker processes.  It is the one
+  place that makes that choice, and the one place that consults and
+  fills the result cache and the run journal, captures per-task
+  failures and captures per-task perf counters.
+
+Every executed task runs under a :data:`~repro.core.profiling.PROFILER`
+capture whose :class:`~repro.core.profiling.PerfDelta` comes back as
+:attr:`TaskOutcome.perf`.  A pool worker ships its delta back with the
+task's result and the parent merges it into its own ``PROFILER``, so a
+parent's counters account for pooled work exactly as for serial work
+(serial deltas are already in the parent's registry and are not merged
+again).  Cached and journal-replayed tasks execute nothing and carry no
+perf.
 
 Failure policy: every task runs once.  A raising task fails alone.  A
 task that kills its worker process fails alone too: when the pool
@@ -27,10 +38,11 @@ breaks, every task whose result was lost is re-run by itself in a
 one-worker pool, and only a task that breaks that pool again is charged
 with the ``BrokenProcessPool`` error.  Nothing is retried.
 
-Crash safety: a journaled run records each pool submission's results
-as soon as that submission comes back, so a killed parent loses only
-the work still in flight; and every pool worker exits on its own once
-its parent is gone, so a killed parent leaves no orphaned workers.
+Crash safety: each completed task's result is cached and journaled as
+soon as it comes back (per task serially, per pool submission in
+parallel), so neither a failing sibling task nor a killed parent loses
+completed work; and every pool worker exits on its own once its parent
+is gone, so a killed parent leaves no orphaned workers.
 
 Tasks are shipped to workers with :mod:`cloudpickle` when available, so
 closures and lambdas (ubiquitous in presets and test fixtures) work;
@@ -57,6 +69,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 
 import numpy as np
 
+from repro.core.profiling import PROFILER, PerfDelta
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -226,9 +239,10 @@ class Task:
     """One unit of work: ``fn(*args, **kwargs)``, optionally cached.
 
     ``key`` is a human-readable purpose key (also the outcome label);
-    ``cache_key`` is the full content-hash key (``None`` disables
-    caching for this task).  ``encode``/``decode`` convert the result to
-    and from a JSON-serializable payload for the cache.
+    ``cache_key`` is the full content-hash key under which the result is
+    cached and journaled, in whichever of the two stores the executor
+    has (``None`` disables both for this task).  ``encode``/``decode``
+    convert the result to and from a JSON-serializable payload.
     """
 
     key: str
@@ -238,10 +252,6 @@ class Task:
     cache_key: Optional[str] = None
     encode: Optional[Callable[[Any], Any]] = None
     decode: Optional[Callable[[Any], Any]] = None
-    #: Content-hash key under which a completed result is journaled
-    #: (crash-safe resume of campaign/sweep grids); falls back to
-    #: ``cache_key``.  ``None`` on both disables journaling for the task.
-    journal_key: Optional[str] = None
 
 
 @dataclass
@@ -251,15 +261,22 @@ class TaskOutcome:
     key: str
     value: Any = None
     error: Optional[str] = None
-    #: Time the task itself ran (0.0 when its worker process died).
-    seconds: float = 0.0
     cached: bool = False
     #: True when the value was replayed from a crash-safe run journal.
     journaled: bool = False
+    #: Perf counters captured around the task's execution, wherever it
+    #: ran; ``None`` when nothing executed (cache hit, journal replay)
+    #: or the task's worker process died.
+    perf: Optional[PerfDelta] = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def seconds(self) -> float:
+        """Time the task itself ran (0.0 when it did not execute)."""
+        return self.perf.elapsed_s if self.perf is not None else 0.0
 
 
 def adaptive_chunk_size(
@@ -302,37 +319,58 @@ def _exit_with_parent() -> None:
     threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
+def _execute(
+    fn: Callable[..., Any],
+    args: Sequence[Any] = (),
+    kwargs: Optional[Dict[str, Any]] = None,
+) -> Tuple[bool, Any, Optional[str], PerfDelta]:
+    """Run one task under a ``PROFILER`` capture, on either path.
+
+    Returns the entry ``(True, value, None, perf)`` or ``(False,
+    exception, traceback_text, perf)``; the exception keeps its
+    traceback so a serial ``reraise`` shows where it came from.
+    """
+    with PROFILER.capture() as perf:
+        try:
+            return True, fn(*args, **(kwargs or {})), None, perf
+        except Exception as exc:
+            return False, exc, traceback.format_exc(limit=8), perf
+
+
+def _call_serialized(blob: bytes) -> Any:
+    fn, args, kwargs = _serializer.loads(blob)
+    return fn(*args, **kwargs)
+
+
 def _run_task_chunk(blobs: List[bytes]) -> List[bytes]:
     """Worker-side trampoline: run a chunk of serialized tasks in order.
 
     Module-level so the stdlib pool can always pickle *it*; each task's
     ``(fn, args, kwargs)`` travels inside its blob via cloudpickle, and
-    its entry travels back the same way: ``(True, value, seconds, None)``
-    or ``(False, exception, seconds, traceback_text)``.  Failures are
-    captured per task, so one raising task cannot poison its
-    chunk-mates, and ``seconds`` times the task alone.  An exception
-    that refuses to serialize is downgraded to a ``RuntimeError``
-    carrying its repr, keeping the entry transportable.
+    its :func:`_execute` entry — perf delta included — travels back the
+    same way.  Failures are captured per task, so one raising task
+    cannot poison its chunk-mates.  An exception that refuses to
+    serialize is downgraded to a ``RuntimeError`` carrying its repr,
+    keeping the entry transportable.
     """
     out: List[bytes] = []
     for blob in blobs:
-        start = time.perf_counter()
-        try:
-            fn, args, kwargs = _serializer.loads(blob)
-            value = fn(*args, **kwargs)
-            out.append(
-                _serializer.dumps((True, value, time.perf_counter() - start, None))
-            )
-        except Exception as exc:
-            seconds = time.perf_counter() - start
-            text = traceback.format_exc(limit=8)
-            exc.__traceback__ = None  # frames are not transportable
+        ok, result, text, perf = _execute(_call_serialized, (blob,))
+        if not ok:
+            result.__traceback__ = None  # frames are not transportable
             try:
-                _serializer.dumps(exc)
+                _serializer.dumps(result)
             except Exception:
-                exc = RuntimeError(f"unserializable task exception: {exc!r}")
-            out.append(_serializer.dumps((False, exc, seconds, text)))
+                result = RuntimeError(f"unserializable task exception: {result!r}")
+        out.append(_serializer.dumps((ok, result, text, perf)))
     return out
+
+
+def _outcome(task: Task, entry: Tuple[bool, Any, Optional[str], Any]) -> TaskOutcome:
+    ok, result, text, perf = entry
+    if ok:
+        return TaskOutcome(task.key, value=result, perf=perf)
+    return TaskOutcome(task.key, error=text, perf=perf)
 
 
 # -- the executor -------------------------------------------------------------
@@ -354,8 +392,8 @@ class ParallelExecutor:
     one-worker pool.  A suspect that breaks that pool is the crasher and
     fails with the ``BrokenProcessPool`` error; the pool is rebuilt for
     the next suspect, so the rebuilds are bounded by the suspects.
-    Successful results are journaled chunk by chunk as they come back,
-    and pool workers exit when their parent dies.
+    Successful results are cached and journaled chunk by chunk as they
+    come back, and pool workers exit when their parent dies.
     """
 
     def __init__(
@@ -369,10 +407,10 @@ class ParallelExecutor:
         self.workers = int(workers)
         self.cache = cache
         #: Optional :class:`repro.core.checkpoint.RunJournal`.  Tasks
-        #: whose journal key (``Task.journal_key`` or ``cache_key``) is
-        #: already journaled are replayed without executing; completed
-        #: tasks are appended durably as they finish, so a killed run
-        #: re-executes only the points that never completed.
+        #: whose ``cache_key`` is already journaled are replayed without
+        #: executing; completed tasks are appended durably as they
+        #: finish, so a killed run re-executes only the points that
+        #: never completed.
         self.journal = journal
 
     def run(self, tasks: Sequence[Task], reraise: bool = False) -> List[TaskOutcome]:
@@ -393,18 +431,11 @@ class ParallelExecutor:
                 if self.cache is not None and task.cache_key
                 else _MISS
             )
-            if payload is not _MISS:
-                value = task.decode(payload) if task.decode else payload
-                outcomes[idx] = TaskOutcome(task.key, value=value, cached=True)
+            if payload is _MISS:
+                pending.append(idx)  # journal replay is checked per task
                 continue
-            journal_key = self._journal_key(task)
-            if journal_key is not None and journal_key in self.journal:
-                payload = self.journal.get(journal_key)
-                value = task.decode(payload) if task.decode else payload
-                self.journal.skipped += 1
-                outcomes[idx] = TaskOutcome(task.key, value=value, journaled=True)
-                continue
-            pending.append(idx)
+            value = task.decode(payload) if task.decode else payload
+            outcomes[idx] = TaskOutcome(task.key, value=value, cached=True)
 
         if pending:
             # workers > 1 always means worker processes — even for one
@@ -413,50 +444,40 @@ class ParallelExecutor:
                 self._run_parallel(tasks, pending, outcomes, reraise)
             else:
                 self._run_serial(tasks, pending, outcomes, reraise)
-
-        for idx in pending:
-            task, outcome = tasks[idx], outcomes[idx]
-            if outcome.ok and self.cache is not None and task.cache_key:
-                payload = task.encode(outcome.value) if task.encode else outcome.value
-                self.cache.put(task.cache_key, payload)
         return outcomes  # type: ignore[return-value]
 
-    def _journal_key(self, task: Task) -> Optional[str]:
-        if self.journal is None:
-            return None
-        return task.journal_key or task.cache_key
-
-    def _journal_record(self, task: Task, value: Any) -> None:
-        """Durably append a completed task.
+    def _store(self, task: Task, value: Any) -> None:
+        """Cache and journal one completed task.
 
         Called per task (serial) or per chunk as its pool submission
-        comes back (parallel), never after the whole ``run`` — the
-        crash-safety granularity the journal exists for.
+        comes back (parallel), never after the whole ``run``: a failing
+        sibling task or a killed run loses no completed result.
         """
-        journal_key = self._journal_key(task)
-        if journal_key is None:
+        if task.cache_key is None:
             return
         payload = task.encode(value) if task.encode else value
-        self.journal.record(journal_key, payload)
+        if self.cache is not None:
+            self.cache.put(task.cache_key, payload)
+        if self.journal is not None:
+            self.journal.record(task.cache_key, payload)
 
     def _journal_replay(self, task: Task) -> Optional[TaskOutcome]:
-        """Re-check the (refreshed) journal for a concurrently completed task.
+        """Replay ``task`` if the journal, refreshed first, holds it.
 
         The journal is shared state: with several executor processes
         draining the same grid, a sibling may have completed and
-        journaled a point after this run() started.  Re-checking before
-        executing turns the journal into a coarse work-sharing channel —
-        late joiners skip instead of recomputing.
+        journaled a point after this run() started.  Checking right
+        before executing turns the journal into a coarse work-sharing
+        channel — late joiners skip instead of recomputing.
         """
-        journal_key = self._journal_key(task)
-        if journal_key is None:
+        if self.journal is None or task.cache_key is None:
             return None
         self.journal.refresh()
-        if journal_key not in self.journal:
+        if task.cache_key not in self.journal:
             return None
-        payload = self.journal.get(journal_key)
-        value = task.decode(payload) if task.decode else payload
+        payload = self.journal.get(task.cache_key)
         self.journal.skipped += 1
+        value = task.decode(payload) if task.decode else payload
         return TaskOutcome(task.key, value=value, journaled=True)
 
     def _run_serial(self, tasks, pending, outcomes, reraise) -> None:
@@ -466,22 +487,13 @@ class ParallelExecutor:
             if replayed is not None:
                 outcomes[idx] = replayed
                 continue
-            start = time.perf_counter()
-            try:
-                value = task.fn(*task.args, **task.kwargs)
-            except Exception:
-                if reraise:
-                    raise
-                outcomes[idx] = TaskOutcome(
-                    task.key,
-                    error=traceback.format_exc(limit=8),
-                    seconds=time.perf_counter() - start,
-                )
-                continue
-            outcomes[idx] = TaskOutcome(
-                task.key, value=value, seconds=time.perf_counter() - start
-            )
-            self._journal_record(task, value)
+            entry = _execute(task.fn, task.args, task.kwargs)
+            ok, result = entry[:2]
+            if not ok and reraise:
+                raise result
+            outcomes[idx] = _outcome(task, entry)
+            if ok:
+                self._store(task, result)
 
     # -- parallel path ----------------------------------------------------
     def _make_pool(self, n_chunks: int) -> ProcessPoolExecutor:
@@ -538,8 +550,9 @@ class ParallelExecutor:
         """Submit every chunk to ``pool`` and wait for all of them.
 
         Fills ``entries`` with one :func:`_run_task_chunk` entry per
-        task, journaling each chunk's successes as soon as that chunk
-        comes back.  Returns the members of chunks lost to a broken pool
+        task, merging each task's perf delta into ``PROFILER`` and
+        storing each chunk's successes as soon as that chunk comes
+        back.  Returns the members of chunks lost to a broken pool
         (each entered as failed with the pool's error) after destroying
         the pool; a healthy pool is left running for the caller.
         """
@@ -553,12 +566,13 @@ class ParallelExecutor:
                 except BrokenExecutor as exc:
                     lost.extend(chunk)
                     text = "".join(traceback.format_exception(exc))
-                    entries.update((idx, (False, exc, 0.0, text)) for idx in chunk)
+                    entries.update((idx, (False, exc, text, None)) for idx in chunk)
                     continue
                 for idx, raw in zip(chunk, raws):
-                    entries[idx] = entry = _serializer.loads(raw)
-                    if entry[0]:
-                        self._journal_record(tasks[idx], entry[1])
+                    entries[idx] = ok, result, _, perf = _serializer.loads(raw)
+                    PROFILER.merge(perf)
+                    if ok:
+                        self._store(tasks[idx], result)
         except BaseException:
             self._destroy_pool(pool)
             raise
@@ -580,7 +594,7 @@ class ParallelExecutor:
             return
         size = adaptive_chunk_size(len(todo), self.workers)
         chunks = [todo[i:i + size] for i in range(0, len(todo), size)]
-        entries: Dict[int, Tuple[bool, Any, float, Optional[str]]] = {}
+        entries: Dict[int, Tuple[bool, Any, Optional[str], Optional[PerfDelta]]] = {}
         pool = self._make_pool(len(chunks))
         suspects = self._collect(pool, tasks, chunks, entries)
         if suspects:
@@ -598,15 +612,8 @@ class ParallelExecutor:
         if pool is not None:
             pool.shutdown(wait=True)
 
-        first_error: Optional[BaseException] = None
         for idx in todo:
-            task = tasks[idx]
-            ok, result, seconds, text = entries[idx]
-            if ok:
-                outcomes[idx] = TaskOutcome(task.key, value=result, seconds=seconds)
-                continue
-            if first_error is None:
-                first_error = result
-            outcomes[idx] = TaskOutcome(task.key, error=text, seconds=seconds)
-        if reraise and first_error is not None:
-            raise first_error
+            ok, result = entries[idx][:2]
+            if not ok and reraise:
+                raise result  # the first failure in task order
+            outcomes[idx] = _outcome(tasks[idx], entries[idx])

@@ -10,17 +10,11 @@ freshly seeded hardware).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.core.executor import (
-    _MISS,
-    ParallelExecutor,
-    ResultCache,
-    Task,
-    fingerprint,
-)
+from repro.core.executor import ParallelExecutor, ResultCache, Task, fingerprint
 from repro.core.lifetime import LifetimeConfig, LifetimeSimulator
 from repro.core.results import LifetimeResult, ScenarioComparison
 from repro.core.scenarios import SCENARIOS, Scenario
@@ -157,7 +151,6 @@ class AgingAwareFramework:
         self,
         scenario: Scenario | str,
         repeat: int = 0,
-        cache: Optional[ResultCache] = None,
         fault_schedule=None,
         degradation=None,
         checkpoint_every: Optional[int] = None,
@@ -169,14 +162,14 @@ class AgingAwareFramework:
         (the trained software weights are shared across repeats);
         lifetime is a heavy-tailed quantity, so experiments should
         aggregate a few repeats — see :meth:`run_scenario_repeats`.
-        A hit in ``cache`` (keyed by :meth:`scenario_cache_key`) skips
-        the simulation — and the training — entirely.
+        This is a plain run: to consult a result cache or a journal,
+        run :meth:`scenario_task` through a
+        :class:`~repro.core.executor.ParallelExecutor`.
 
         ``fault_schedule`` (a :class:`repro.robustness.FaultSchedule`)
         injects field faults during the run; ``degradation`` (a
         :class:`repro.robustness.DegradationPolicy`) switches the
-        graceful-degradation levers of tuning and mapping.  Both fold
-        into the cache key when present.
+        graceful-degradation levers of tuning and mapping.
 
         ``checkpoint_every``/``checkpoint_dir`` make the lifetime run
         resumable (see :mod:`repro.core.checkpoint`): a durable snapshot
@@ -188,16 +181,6 @@ class AgingAwareFramework:
         scenario = self._resolve_scenario(scenario)
         if repeat < 0:
             raise ConfigurationError(f"repeat must be >= 0, got {repeat}")
-        extra = (
-            None
-            if fault_schedule is None and degradation is None
-            else ("robustness/v1", fault_schedule, degradation)
-        )
-        if cache is not None:
-            key = self.scenario_cache_key(scenario, repeat, extra=extra)
-            payload = cache.get(key)
-            if payload is not _MISS:
-                return LifetimeResult.from_dict(payload)
         cfg = self.config
         model = clone_model(self.trained_model(scenario.skewed_training))
         network = MappedNetwork(
@@ -234,43 +217,59 @@ class AgingAwareFramework:
         # Stamped before the run (not patched on afterwards) so mid-run
         # snapshots carry it and a resumed run reports it identically.
         simulator.software_accuracy = self.software_accuracy(scenario.skewed_training)
-        result = simulator.run(
+        return simulator.run(
             scenario.key,
             checkpoint_every=checkpoint_every,
             checkpoint_dir=checkpoint_dir,
             run_id=f"{scenario.key}-r{repeat}",
         )
-        if cache is not None:
-            cache.put(key, result.to_dict())
-        return result
 
-    def _scenario_tasks(
-        self, pairs: Sequence[tuple[Scenario, int]], cache: Optional[ResultCache]
-    ) -> list[Task]:
-        """Executor tasks for (scenario, repeat) pairs.
+    def scenario_task(
+        self,
+        scenario: Scenario | str,
+        repeat: int = 0,
+        fault_schedule=None,
+        degradation=None,
+        keyed: bool = False,
+        **checkpointing,
+    ) -> Task:
+        """Executor task for one :meth:`run_scenario` call.
 
-        Training happens in the parent *before* fan-out so every worker
-        inherits the same cached software weights instead of retraining
-        (retraining would still be bit-identical — the training stream
-        is derived from ``(entropy, "train-<style>")`` — just wasteful).
+        Every batch of runs — :meth:`compare`, :meth:`run_scenario_repeats`,
+        fault campaigns, ``repro run`` — is a list of these run
+        through one :class:`~repro.core.executor.ParallelExecutor`, which
+        alone decides serial vs pooled execution and cache/journal use.
+
+        ``keyed`` sets the task's content-hash key, :meth:`scenario_cache_key`
+        with the fault schedule and degradation policy folded in when
+        present; pass it only when a cache or journal will consult the
+        key, since fingerprinting hashes the whole dataset.
+        ``checkpointing`` (``checkpoint_every``/``checkpoint_dir``) is
+        forwarded to :meth:`run_scenario`; it never changes the result,
+        so it is not part of the key.
         """
-        for scenario, _ in pairs:
-            self.trained_model(scenario.skewed_training)
-        return [
-            Task(
-                key=f"{scenario.key}#r{repeat}",
-                fn=_run_scenario_in_worker,
-                args=(self, scenario.key, repeat),
-                cache_key=(
-                    self.scenario_cache_key(scenario, repeat)
-                    if cache is not None
-                    else None
-                ),
-                encode=LifetimeResult.to_dict,
-                decode=LifetimeResult.from_dict,
-            )
-            for scenario, repeat in pairs
-        ]
+        scenario = self._resolve_scenario(scenario)
+        extra = (
+            None
+            if fault_schedule is None and degradation is None
+            else ("robustness/v1", fault_schedule, degradation)
+        )
+        return Task(
+            key=f"{scenario.key}#r{repeat}",
+            fn=_ScenarioRun(
+                self,
+                scenario,
+                repeat=repeat,
+                fault_schedule=fault_schedule,
+                degradation=degradation,
+                **checkpointing,
+            ),
+            cache_key=(
+                self.scenario_cache_key(scenario, repeat, extra=extra) if keyed else None
+            ),
+            encode=LifetimeResult.to_dict,
+            decode=LifetimeResult.from_dict,
+        )
 
     def run_scenario_repeats(
         self,
@@ -283,22 +282,18 @@ class AgingAwareFramework:
 
         The software training is shared (cached); only the hardware and
         tuning randomness differ, mirroring one chip design deployed on
-        several dies.  ``workers > 1`` fans the repeats out over a
-        process pool with bit-identical results (every repeat's streams
-        are derived from ``(entropy, purpose-key)``, never consumed from
-        a shared generator).
+        several dies.  The repeats run through a
+        :class:`~repro.core.executor.ParallelExecutor` with ``workers``
+        and ``cache``; any worker count gives bit-identical results
+        (every repeat's streams are derived from ``(entropy,
+        purpose-key)``, never consumed from a shared generator).
         """
         if repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-        if workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        scenario = self._resolve_scenario(scenario)
-        if workers <= 1:
-            return [
-                self.run_scenario(scenario, repeat=i, cache=cache)
-                for i in range(repeats)
-            ]
-        tasks = self._scenario_tasks([(scenario, i) for i in range(repeats)], cache)
+        tasks = [
+            self.scenario_task(scenario, i, keyed=cache is not None)
+            for i in range(repeats)
+        ]
         executor = ParallelExecutor(workers=workers, cache=cache)
         return [o.value for o in executor.run(tasks, reraise=True)]
 
@@ -312,39 +307,50 @@ class AgingAwareFramework:
         """Run several scenarios and collect a Table-I-style comparison.
 
         With ``repeats > 1`` each scenario's stored result is the one
-        with the **median** lifetime among its repeats.  ``workers > 1``
-        runs *all* (scenario, repeat) pairs concurrently — not scenario
-        by scenario — and reassembles them in deterministic order, so
-        the comparison is bit-identical to a serial run.
+        with the **median** lifetime among its repeats.  All (scenario,
+        repeat) pairs form one batch for a
+        :class:`~repro.core.executor.ParallelExecutor` with ``workers``
+        and ``cache`` — with ``workers > 1`` they run concurrently, not
+        scenario by scenario — and are reassembled in deterministic
+        order, so the comparison is bit-identical at any worker count.
         """
         if repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
-        if workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
-        comparison = ScenarioComparison(workload=self.dataset.name)
         scenarios = [self._resolve_scenario(k) for k in scenario_keys]
-        if workers <= 1:
-            grouped = [
-                [self.run_scenario(s, repeat=i, cache=cache) for i in range(repeats)]
-                for s in scenarios
-            ]
-        else:
-            pairs = [(s, i) for s in scenarios for i in range(repeats)]
-            tasks = self._scenario_tasks(pairs, cache)
-            executor = ParallelExecutor(workers=workers, cache=cache)
-            outcomes = executor.run(tasks, reraise=True)
-            grouped = [
-                [o.value for o in outcomes[j * repeats:(j + 1) * repeats]]
-                for j in range(len(scenarios))
-            ]
-        for results in grouped:
+        tasks = [
+            self.scenario_task(s, i, keyed=cache is not None)
+            for s in scenarios
+            for i in range(repeats)
+        ]
+        outcomes = ParallelExecutor(workers=workers, cache=cache).run(tasks, reraise=True)
+        comparison = ScenarioComparison(workload=self.dataset.name)
+        for j in range(len(scenarios)):
+            results = [o.value for o in outcomes[j * repeats:(j + 1) * repeats]]
             results.sort(key=lambda r: r.lifetime_applications)
             comparison.add(results[len(results) // 2])
         return comparison
 
 
-def _run_scenario_in_worker(
-    framework: AgingAwareFramework, scenario_key: str, repeat: int
-) -> LifetimeResult:
-    """Module-level task body so the executor can ship it to workers."""
-    return framework.run_scenario(scenario_key, repeat=repeat)
+class _ScenarioRun:
+    """Task body of :meth:`AgingAwareFramework.scenario_task`.
+
+    A module-level callable so the executor can ship it to workers.
+    Pickling it, which happens only when the executor ships it to a pool
+    worker, first trains the scenario's software model in the parent, so
+    every worker inherits the same weights instead of retraining (which
+    would be bit-identical, since the training stream is derived from
+    ``(entropy, "train-<style>")``, just wasteful).  A task served from the
+    cache or the journal is never pickled and trains nothing.
+    """
+
+    def __init__(self, framework: AgingAwareFramework, scenario: Scenario, **kwargs):
+        self.framework = framework
+        self.scenario = scenario
+        self.kwargs = kwargs
+
+    def __call__(self) -> LifetimeResult:
+        return self.framework.run_scenario(self.scenario, **self.kwargs)
+
+    def __getstate__(self) -> dict:
+        self.framework.trained_model(self.scenario.skewed_training)
+        return self.__dict__

@@ -3,20 +3,24 @@
 The kernel layer (factorization caching, batched nodal solves,
 state-versioned conductance caching — see DESIGN.md §9) only earns its
 complexity if the savings are *observable*.  This module provides a
-process-local registry of named monotonic counters and wall-clock
+per-process registry of named monotonic counters and wall-clock
 timers with near-zero overhead (a dict update per event), JSON export,
-and a delta-capture context manager used by the fault-campaign runner
-to attribute work to individual scenario runs.
+and a delta-capture context manager used by the executor to attribute
+work to individual tasks.
 
 Design constraints:
 
 * **Always on.**  Counters are cheap enough to leave enabled; there is
   no global "profiling mode" that would bifurcate the code paths under
   test from the code paths in production.
-* **Process-local.**  Counters do not cross the
-  :class:`~repro.core.executor.ParallelExecutor` process pool; a
-  parent's snapshot after a fan-out reflects only parent-side work.
-  Serial runs (``workers <= 1``) see everything.
+* **Captured per task, merged in the parent.**  Each process has its
+  own registry.  :class:`~repro.core.executor.ParallelExecutor`
+  captures a :class:`PerfDelta` around every task it executes and
+  returns it with the task's outcome.  A pool worker sends its delta
+  back and the parent adds it to its own registry with
+  :meth:`PerfRegistry.merge`, so a parent's snapshot after a fan-out
+  covers the pooled work too.  Serial deltas are already in the
+  parent's registry and are not merged again.
 * **No repro imports.**  This module is a leaf so any layer (device,
   crossbar, tuning, core) can import it without cycles.
 
@@ -110,6 +114,15 @@ class PerfRegistry:
                 for name, entry in self._timers.items()
             },
         }
+
+    def merge(self, delta: PerfDelta) -> None:
+        """Add a delta captured in another process (e.g. a pool worker)."""
+        for name, amount in delta.counters.items():
+            self.increment(name, amount)
+        for name, timer in delta.timers.items():
+            entry = self._timers.setdefault(name, [0, 0.0])
+            entry[0] += timer["calls"]
+            entry[1] += timer["total_s"]
 
     def reset(self) -> None:
         """Zero every counter and timer."""

@@ -197,14 +197,11 @@ class Sweep:
                 key=f"{self.parameter}={value!r}",
                 fn=_evaluate_point,
                 args=(self.fn, self._entropy, self.parameter, value, not fail_fast),
+                # Fingerprinting pickles ``fn``'s closure: only when a
+                # cache or journal will consult the key.
                 cache_key=(
                     self.point_cache_key(value, cache_token)
-                    if cache is not None
-                    else None
-                ),
-                journal_key=(
-                    self.point_cache_key(value, cache_token)
-                    if journal is not None
+                    if cache is not None or journal is not None
                     else None
                 ),
             )

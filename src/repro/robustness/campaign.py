@@ -7,8 +7,10 @@ one full lifetime simulation; points fan out through the
 :class:`~repro.core.executor.ParallelExecutor` (bit-identical to a
 serial run; a point that crashes its worker fails alone) and share the
 on-disk :class:`~repro.core.executor.ResultCache` with plain scenario
-runs: the fault-free baseline point hits the same cache entry an
-ordinary ``run_scenario`` would write.
+runs: every point is an
+:meth:`~repro.core.framework.AgingAwareFramework.scenario_task`, so the
+fault-free baseline point hits the same cache entry a cached
+``compare`` or ``run_scenario_repeats`` would write.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import List, Optional, Sequence
 from repro.core.checkpoint import RunJournal
 from repro.core.executor import ParallelExecutor, ResultCache, Task
 from repro.core.framework import AgingAwareFramework
-from repro.core.profiling import PROFILER
 from repro.core.results import LifetimeResult
 from repro.exceptions import ConfigurationError
 from repro.robustness.degradation import DegradationPolicy
@@ -119,98 +120,43 @@ class FaultCampaign:
         instead of re-running them, with a report bit-identical to a
         serial run.
         """
-        extra = (
-            None
-            if point.schedule is None and point.degradation is None
-            else ("robustness/v1", point.schedule, point.degradation)
-        )
-        return self.framework.scenario_cache_key(self.scenario, self.repeat, extra=extra)
+        return self._task(point, keyed=True).cache_key
 
-    def _point_cache_key(self, point: CampaignPoint) -> Optional[str]:
-        if self.cache is None:
-            return None
-        return self.point_key(point)
+    def _task(self, point: CampaignPoint, keyed: bool) -> Task:
+        return self.framework.scenario_task(
+            self.scenario, self.repeat, point.schedule, point.degradation, keyed=keyed
+        )
 
     def run(self, points: Sequence[CampaignPoint]) -> SurvivabilityReport:
         """Simulate every grid point and assemble the report.
 
-        With ``workers > 1`` the points run concurrently through the
-        executor (training happens once in the parent, before fan-out);
-        results are bit-identical to a serial run.
+        The points run through one
+        :class:`~repro.core.executor.ParallelExecutor` with this
+        campaign's workers, cache and journal; the report is
+        bit-identical at any worker count.  ``report.perf`` holds the
+        perf-counter delta of every point that executed, in-process or
+        in a pool worker; cached and journal-replayed points executed
+        nothing and have none.
         """
         if not points:
             raise ConfigurationError("campaign needs at least one point")
         names = [p.name for p in points]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate campaign point names in {names}")
-        point_perf = {}
-        if self.workers <= 1:
-            # Serial mode: capture per-point perf-counter deltas so the
-            # report can attribute kernel-cache savings and vmm
-            # throughput to individual grid points.  (Counters are
-            # process-local; the parallel branch leaves perf empty.
-            # Journal-replayed points also skip perf capture — nothing
-            # executed.)
-            results = []
-            for p in points:
-                key = self.point_key(p) if self.journal is not None else None
-                if key is not None:
-                    # Pick up points completed by sibling `repro campaign`
-                    # processes sharing the same journal.
-                    self.journal.refresh()
-                if key is not None and key in self.journal:
-                    self.journal.skipped += 1
-                    results.append(LifetimeResult.from_dict(self.journal.get(key)))
-                    continue
-                with PROFILER.capture() as delta:
-                    results.append(
-                        self.framework.run_scenario(
-                            self.scenario,
-                            repeat=self.repeat,
-                            cache=self.cache,
-                            fault_schedule=p.schedule,
-                            degradation=p.degradation,
-                        )
-                    )
-                point_perf[p.name] = delta.to_dict()
-                if key is not None:
-                    self.journal.record(key, results[-1].to_dict())
-        else:
-            self.framework.trained_model(self.scenario.skewed_training)
-            tasks = [
-                Task(
-                    key=p.name,
-                    fn=_run_point_in_worker,
-                    args=(
-                        self.framework,
-                        self.scenario.key,
-                        self.repeat,
-                        p.schedule,
-                        p.degradation,
-                    ),
-                    cache_key=self._point_cache_key(p),
-                    journal_key=(
-                        self.point_key(p) if self.journal is not None else None
-                    ),
-                    encode=LifetimeResult.to_dict,
-                    decode=LifetimeResult.from_dict,
-                )
-                for p in points
-            ]
-            executor = ParallelExecutor(
-                workers=self.workers,
-                cache=self.cache,
-                journal=self.journal,
-            )
-            results = [o.value for o in executor.run(tasks, reraise=True)]
-
+        keyed = self.cache is not None or self.journal is not None
+        executor = ParallelExecutor(self.workers, self.cache, self.journal)
+        outcomes = executor.run([self._task(p, keyed) for p in points], reraise=True)
         report = SurvivabilityReport(
             workload=self.framework.dataset.name,
             scenario_key=self.scenario.key,
-            perf=point_perf,
+            perf={
+                p.name: o.perf.to_dict()
+                for p, o in zip(points, outcomes)
+                if o.perf is not None
+            },
         )
-        for point, result in zip(points, results):
-            report.add(record_from_result(point, result))
+        for point, outcome in zip(points, outcomes):
+            report.add(record_from_result(point, outcome.value))
         return report
 
 
@@ -231,20 +177,4 @@ def record_from_result(
         tuning_success_rate=converged / n_windows if n_windows else 0.0,
         final_accuracy=final_accuracy,
         failed=result.failed,
-    )
-
-
-def _run_point_in_worker(
-    framework: AgingAwareFramework,
-    scenario_key: str,
-    repeat: int,
-    schedule: Optional[FaultSchedule],
-    degradation: Optional[DegradationPolicy],
-) -> LifetimeResult:
-    """Module-level task body so the executor can ship it to workers."""
-    return framework.run_scenario(
-        scenario_key,
-        repeat=repeat,
-        fault_schedule=schedule,
-        degradation=degradation,
     )

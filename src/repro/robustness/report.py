@@ -64,11 +64,11 @@ class SurvivabilityReport:
     scenario_key: str
     records: List[SurvivabilityRecord] = field(default_factory=list)
     #: Per-point perf-counter deltas (``repro.core.profiling.PerfDelta``
-    #: dicts) captured around each simulation.  Only populated by serial
-    #: campaign runs — counters are process-local and do not cross the
-    #: executor's worker pool.  Excluded from :meth:`to_dict` by default
-    #: so serialized reports stay bit-identical across serial/parallel
-    #: execution modes.
+    #: dicts) the executor captured around each point that executed, in
+    #: the parent or in a pool worker, at any worker count; cached and
+    #: journal-replayed points have none.  Wall-clock noisy, so excluded
+    #: from :meth:`to_dict` by default: serialized reports stay
+    #: bit-identical across execution modes.
     perf: Dict[str, dict] = field(default_factory=dict)
 
     def add(self, record: SurvivabilityRecord) -> None:
@@ -210,7 +210,7 @@ class SurvivabilityReport:
                         )
         if self.perf:
             lines.append("")
-            lines.append("perf (serial run):")
+            lines.append("perf:")
             for name, delta in self.perf.items():
                 counters = delta.get("counters", {})
                 elapsed = float(delta.get("elapsed_s", 0.0))

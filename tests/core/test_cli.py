@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.profiling import PROFILER
 
 
 class TestParser:
@@ -151,6 +152,29 @@ class TestCommands:
         snapshot = json.loads(perf_file.read_text())
         assert snapshot["counters"]["lifetime.runs"] >= 1
         assert "timers" in snapshot
+
+    def test_compare_profile_counts_pooled_runs(self, tmp_path, capsys):
+        """--profile accounts for the runs pool workers executed: a
+        --workers 2 compare reports the same lifetime counters as a
+        --workers 1 one."""
+
+        def lifetime_counters(workers):
+            before = PROFILER.snapshot()["counters"]
+            path = tmp_path / f"perf-{workers}.json"
+            argv = [
+                "compare", "--preset", "blobs-mini", "--fast", "--no-cache",
+                "--workers", str(workers), "--profile", str(path),
+            ]
+            assert main(argv) == 0
+            after = json.loads(path.read_text())["counters"]
+            return {
+                name: after.get(name, 0) - before.get(name, 0)
+                for name in ("lifetime.runs", "lifetime.windows")
+            }
+
+        pooled = lifetime_counters(2)
+        assert pooled["lifetime.runs"] == 3
+        assert pooled == lifetime_counters(1)
 
     def test_run_populates_and_reuses_cache(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"

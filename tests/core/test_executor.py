@@ -25,6 +25,7 @@ from repro.core import (
     Task,
     fingerprint,
 )
+from repro.core.profiling import PROFILER
 from repro.data import make_blobs
 from repro.device import DeviceConfig
 from repro.exceptions import ConfigurationError
@@ -121,6 +122,11 @@ class TestResultCache:
 # -- generic executor ---------------------------------------------------------
 def _square(x):
     return x * x
+
+
+def _tick(x):
+    PROFILER.increment("test.ticks", x)
+    return x
 
 
 def _maybe_boom(x):
@@ -246,6 +252,40 @@ class TestParallelExecutor:
         ParallelExecutor(workers=1, cache=cache).run(tasks)
         assert len(cache) == 0
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_completed_tasks_are_cached_when_a_sibling_fails(self, tmp_path, workers):
+        """A task's result is cached as soon as it completes, so a failing
+        sibling that aborts the run (``reraise``) loses nothing."""
+        cache = ResultCache(tmp_path)
+        tasks = [
+            Task(key="ok", fn=_maybe_boom, args=(1,), cache_key=fingerprint("ok")),
+            Task(key="boom", fn=_maybe_boom, args=(2,), cache_key=fingerprint("boom")),
+        ]
+        with pytest.raises(RuntimeError, match="boom"):
+            ParallelExecutor(workers=workers, cache=cache).run(tasks, reraise=True)
+        assert len(cache) == 1
+        assert cache.get(fingerprint("ok")) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_perf_captured_per_task_and_counted_once(self, tmp_path, workers):
+        """Every executed task carries its own perf delta, and the
+        parent's registry counts each task's work exactly once, whether
+        it ran in-process or in a pool worker."""
+        before = PROFILER.counter("test.ticks")
+        tasks = [
+            Task(key=str(i), fn=_tick, args=(i,), cache_key=f"tick{i}")
+            for i in (1, 2, 3)
+        ]
+        cache = ResultCache(tmp_path)
+        outcomes = ParallelExecutor(workers=workers, cache=cache).run(tasks)
+        assert [o.perf.counters["test.ticks"] for o in outcomes] == [1, 2, 3]
+        assert all(o.seconds == o.perf.elapsed_s > 0 for o in outcomes)
+        assert PROFILER.counter("test.ticks") - before == 6
+
+        replayed = ParallelExecutor(workers=workers, cache=cache).run(tasks)
+        assert [o.perf for o in replayed] == [None] * 3
+        assert PROFILER.counter("test.ticks") - before == 6
+
 
 # -- framework equivalence: the headline guarantee ----------------------------
 def test_framework_rejects_negative_workers(framework):
@@ -281,14 +321,14 @@ def test_parallel_equivalence_from_fresh_framework(framework):
 
 def test_scenario_cache_roundtrip_is_exact(framework, tmp_path):
     cache = ResultCache(tmp_path)
-    fresh = framework.run_scenario("t+t", cache=cache)
+    [fresh] = framework.run_scenario_repeats("t+t", repeats=1, cache=cache)
     assert (cache.hits, cache.misses) == (0, 1)
-    cached = framework.run_scenario("t+t", cache=cache)
+    [cached] = framework.run_scenario_repeats("t+t", repeats=1, cache=cache)
     assert cache.hits == 1
     assert cached == fresh  # JSON round trip preserves every field exactly
 
     # A different repeat is a different key — miss, not a stale hit.
-    other = framework.run_scenario("t+t", repeat=1, cache=cache)
+    other = framework.run_scenario_repeats("t+t", repeats=2, cache=cache)[1]
     assert other != fresh
     assert len(cache) == 2
 

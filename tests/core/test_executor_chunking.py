@@ -103,7 +103,7 @@ class TestSharedJournalDrain:
                 key=f"t{i}",
                 fn=_square,
                 args=(i,),
-                journal_key=f"jk{i}",
+                cache_key=f"jk{i}",
             )
             for i in range(n)
         ]
@@ -156,7 +156,7 @@ class TestSharedJournalDrain:
             return x * x
 
         tasks = [
-            Task(key=f"t{i}", fn=traced, args=(i,), journal_key=f"jk{i}")
+            Task(key=f"t{i}", fn=traced, args=(i,), cache_key=f"jk{i}")
             for i in range(6)
         ]
         second = RunJournal(path)
@@ -184,7 +184,7 @@ class TestSharedJournalDrain:
             return x * x
 
         tasks = [
-            Task(key=f"t{i}", fn=traced, args=(i,), journal_key=f"jk{i}")
+            Task(key=f"t{i}", fn=traced, args=(i,), cache_key=f"jk{i}")
             for i in range(6)
         ]
         outcomes = ParallelExecutor(workers=0, journal=mine).run(tasks)

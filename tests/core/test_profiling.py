@@ -87,6 +87,18 @@ class TestCapture:
         assert inner.counters == {"a": 1}
         assert outer.counters == {"a": 2}
 
+    def test_merge_adds_a_foreign_delta(self, registry):
+        worker = PerfRegistry()
+        with worker.capture() as delta:
+            worker.increment("a", 2)
+            worker.add_time("t", 0.5)
+        registry.increment("a")
+        registry.add_time("t", 0.25)
+        registry.merge(delta)
+        registry.merge(delta)
+        assert registry.counter("a") == 5
+        assert registry.snapshot()["timers"]["t"] == {"calls": 3, "total_s": 1.25}
+
     def test_to_dict_round_trips_json(self, registry):
         with registry.capture() as delta:
             registry.increment("a")

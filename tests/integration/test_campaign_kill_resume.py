@@ -131,6 +131,6 @@ def test_killed_parallel_campaign_resumes_bit_identical(tmp_path):
     _finish(_campaign(tmp_path, "--workers", "1", "--out", "serial.json"))
     serial = json.loads((tmp_path / "serial.json").read_text())
     parallel = json.loads((tmp_path / "resumed.json").read_text())
-    serial.pop("perf")  # per-point wall-clock counters, serial-only
+    serial.pop("perf")  # per-point wall-clock counters
     parallel.pop("perf")
     assert parallel == serial

@@ -83,9 +83,10 @@ class TestFaultCampaign:
     def test_baseline_point_shares_plain_scenario_cache(
         self, mini_framework, tmp_path
     ):
-        """The fault-free grid point and run_scenario use the same key."""
+        """The fault-free grid point and a plain cached scenario run use
+        the same key."""
         cache = ResultCache(tmp_path / "cache")
-        mini_framework.run_scenario("st+at", cache=cache)
+        mini_framework.run_scenario_repeats("st+at", repeats=1, cache=cache)
         assert len(cache) == 1
         points = build_grid(
             kinds=("stuck_at",), rates=(0.02,), window=1, with_degradation=False
@@ -118,22 +119,33 @@ class TestFaultCampaign:
         text = report.render_text()
         assert "baseline" in text and "stuck_at" in text
 
-    def test_serial_run_captures_perf_per_point(self, mini_framework):
-        """Satellite of ISSUE 4: serial campaigns attribute kernel-cache
-        savings and vmm throughput to each grid point."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_captures_perf_per_point(self, mini_framework, workers):
+        """Campaigns attribute kernel-cache savings and vmm throughput to
+        each grid point, whether it ran in-process or in a pool worker."""
         points = build_grid(**self.GRID)
-        report = FaultCampaign(mini_framework, scenario="st+at").run(points)
+        report = FaultCampaign(
+            mini_framework, scenario="st+at", workers=workers
+        ).run(points)
         assert set(report.perf) == {p.name for p in points}
         for delta in report.perf.values():
             assert delta["elapsed_s"] > 0
             assert delta["counters"].get("crossbar.vmm_calls", 0) >= 0
             assert delta["counters"].get("network.hardware_reads", 0) > 0
         text = report.render_text()
-        assert "perf (serial run):" in text
+        assert "perf:" in text
         assert "factorizations avoided" in text
 
+    def test_cached_points_carry_no_perf(self, mini_framework, tmp_path):
+        """A cache hit executes nothing, so it has no perf to report."""
+        points = build_grid(**self.GRID)
+        cache = ResultCache(tmp_path / "cache")
+        FaultCampaign(mini_framework, scenario="st+at", cache=cache).run(points)
+        warm = FaultCampaign(mini_framework, scenario="st+at", cache=cache).run(points)
+        assert warm.perf == {}
+
     def test_perf_excluded_from_default_serialization(self, mini_framework):
-        """Perf is serial-mode-only and wall-clock-noisy, so the default
+        """Perf is wall-clock-noisy, so the default
         to_dict must not carry it — keeping serialized reports identical
         across execution modes."""
         points = build_grid(**self.GRID)
