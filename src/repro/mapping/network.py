@@ -39,7 +39,7 @@ from repro.device.config import DeviceConfig
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.mapping.fresh import FreshMapper
 from repro.mapping.linear import LinearWeightMapping
-from repro.nn.layers.conv import Conv2D
+from repro.nn.layers.conv import Conv2D, im2col
 from repro.nn.layers.dense import Dense
 from repro.nn.metrics import accuracy
 from repro.nn.model import PREDICT_BATCH, Sequential
@@ -399,15 +399,19 @@ class MappedNetwork:
         every candidate, so the first call installs the predicted
         weights and runs the selection batch through them once, in the
         :data:`~repro.nn.model.PREDICT_BATCH` chunks
-        :meth:`Sequential.predict` uses; each call then writes only the
-        candidate kernel and runs the layers from ``mapped`` on over
-        the cached chunks.  Every layer sees the same inputs and weights
-        as in a full :meth:`Sequential.score`, so the accuracy is
-        bit-identical to it.  The cache lives as long as this function:
-        one layer of one remap.
+        :meth:`Sequential.predict` uses; a conv layer's chunks are
+        cached as their :func:`im2col` columns, unrolled once.  Each
+        call then writes only the candidate kernel and runs the layers
+        from ``mapped`` on over the cached chunks (for a conv layer,
+        from its GEMM on).  Every layer sees the same inputs and
+        weights as in a full :meth:`Sequential.score`, so the accuracy
+        is bit-identical to it.  The cache lives as long as this
+        function: one layer of one remap.
         """
         k = mapped.layer_index
         scratch = self._scratch
+        layer = scratch.layers[k]
+        unrolled = isinstance(layer, Conv2D)
         prefix: Optional[List[np.ndarray]] = None
 
         def score(r_lo: float, r_hi: float) -> float:
@@ -421,16 +425,21 @@ class MappedNetwork:
                 if k > 0:
                     head = scratch.head(k)
                     prefix = [head.forward(chunk) for chunk in prefix]
+                if unrolled:
+                    size, stride, pad = layer.kernel_size, layer.stride, layer.padding
+                    prefix = [im2col(chunk, size, size, stride, pad) for chunk in prefix]
             # The candidate kernel invalidates any memoized hardware
             # state in the scratch model.
             self._scratch_holds = None
-            scratch.layers[k].params["W"][...] = _matrix_to_kernel(
-                predict(r_lo, r_hi), mapped.layer
-            )
+            layer.params["W"][...] = _matrix_to_kernel(predict(r_lo, r_hi), mapped.layer)
             logits = []
-            for out in prefix:
-                for layer in scratch.layers[k:]:
-                    out = layer.forward(out, training=False)
+            for chunk in prefix:
+                if unrolled:
+                    out = layer.forward_columns(chunk)
+                else:
+                    out = layer.forward(chunk, training=False)
+                for later in scratch.layers[k + 1 :]:
+                    out = later.forward(out, training=False)
                 logits.append(out)
             return accuracy(np.concatenate(logits, axis=0), y)
 

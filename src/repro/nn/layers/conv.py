@@ -1,11 +1,19 @@
 """2-D convolution layer via im2col.
 
-Data layout is NCHW: ``(batch, channels, height, width)``.  Kernels are
-``(out_ch, in_ch, kh, kw)``.  im2col converts each convolution into one
-GEMM, which is the fastest arrangement for numpy on a single core and is
-also the arrangement that maps directly onto crossbar tiles: each kernel
-becomes one column of the (unrolled) weight matrix, so conv layers are
-mapped to hardware as ``(in_ch*kh*kw, out_ch)`` matrices.
+Arrays are NCHW *logically*: ``(batch, channels, height, width)``, and
+kernels are ``(out_ch, in_ch, kh, kw)``.  In memory the activations are
+channels-last (NHWC): a conv output is a transposed view of its
+``(batch*oh*ow, filters)`` GEMM result, so a conv → ReLU → pool → conv
+stack hands NHWC memory from layer to layer and :func:`im2col` unrolls
+it without a layout copy.  ``Flatten`` is the one real transpose: it
+reshapes in logical NCHW order, so the Dense weight order does not
+depend on the memory layout.
+
+im2col converts each convolution into one GEMM, which is the fastest
+arrangement for numpy on a single core and is also the arrangement that
+maps directly onto crossbar tiles: each kernel becomes one column of
+the (unrolled) weight matrix, so conv layers are mapped to hardware as
+``(in_ch*kh*kw, out_ch)`` matrices.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.exceptions import ConfigurationError, ShapeError
 from repro.nn.initializers import ZerosInit, get_initializer
@@ -26,20 +35,19 @@ def im2col(
     """Unroll sliding windows of ``x`` (NCHW) into a 2-D matrix.
 
     Returns an array of shape ``(batch*oh*ow, c*kh*kw)`` where ``oh, ow``
-    are the output spatial dims.
+    are the output spatial dims.  Rows run over ``(batch, oh, ow)`` and
+    columns over ``(c, kh, kw)``.  The windows are one channels-last
+    view, so the NHWC copy is free when ``x`` is already NHWC in memory
+    and the final reshape is the only copy.
     """
     n, c, h, w = x.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
+    x = np.ascontiguousarray(x.transpose(0, 2, 3, 1))
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            cols[:, :, i, j, :, :] = x[:, :, i:i_max:stride, j:j_max:stride]
-    return cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
+        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    return windows.reshape(n * oh * ow, c * kh * kw)
 
 
 def col2im(
@@ -50,20 +58,22 @@ def col2im(
     stride: int = 1,
     padding: int = 0,
 ) -> np.ndarray:
-    """Inverse of :func:`im2col`: scatter-add columns back to NCHW."""
+    """Inverse of :func:`im2col`: scatter-add columns back to NCHW.
+
+    The sum is taken in an NHWC buffer, offset by offset in ``(i, j)``
+    order; the result is its NCHW view.
+    """
     n, c, h, w = x_shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    x_padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    cols = cols.reshape(n, oh, ow, c, kh, kw)
+    x_padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
     for i in range(kh):
         i_max = i + stride * oh
         for j in range(kw):
             j_max = j + stride * ow
-            x_padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
-    if padding > 0:
-        return x_padded[:, :, padding:-padding, padding:-padding]
-    return x_padded
+            x_padded[:, i:i_max:stride, j:j_max:stride] += cols[..., i, j]
+    return x_padded[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
 class Conv2D(ParamLayer):
@@ -96,7 +106,6 @@ class Conv2D(ParamLayer):
         self.kernel_init = get_initializer(kernel_init)
         self.bias_init = get_initializer(bias_init) if bias_init is not None else ZerosInit()
         self._cols: np.ndarray | None = None
-        self._x_shape: Tuple[int, int, int, int] | None = None
 
     def build(self, input_shape: Tuple[int, ...], rng: SeedLike = None) -> Tuple[int, ...]:
         if len(input_shape) != 3:
@@ -123,28 +132,37 @@ class Conv2D(ParamLayer):
         return (self.filters, oh, ow)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n = x.shape[0]
         k = self.kernel_size
-        self._x_shape = x.shape
-        cols = im2col(x, k, k, self.stride, self.padding)
+        return self.forward_columns(im2col(x, k, k, self.stride, self.padding))
+
+    def forward_columns(self, cols: np.ndarray) -> np.ndarray:
+        """:meth:`forward` from the input's :func:`im2col` columns.
+
+        Callers that run one input through many kernels (AT candidate
+        scoring) unroll it once and enter here; the output is the same
+        NHWC-in-memory NCHW view :meth:`forward` returns.
+        """
         self._cols = cols
         w_mat = self._params["W"].reshape(self.filters, -1)  # (out, c*k*k)
         out = cols @ w_mat.T
         if self.use_bias:
-            out = out + self._params["b"]
+            out += self._params["b"]
         _, oh, ow = self.output_shape()
-        return out.reshape(n, oh, ow, self.filters).transpose(0, 3, 1, 2)
+        return out.reshape(-1, oh, ow, self.filters).transpose(0, 3, 1, 2)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._cols is not None and self._x_shape is not None
+        assert self._cols is not None and self.input_shape is not None
         k = self.kernel_size
+        # A view when ``grad`` is NHWC in memory, as the layers above
+        # this one produce it.
         grad_mat = grad.transpose(0, 2, 3, 1).reshape(-1, self.filters)
         self._grads["W"][...] = (grad_mat.T @ self._cols).reshape(self._params["W"].shape)
         if self.use_bias:
             self._grads["b"][...] = grad_mat.sum(axis=0)
         w_mat = self._params["W"].reshape(self.filters, -1)
         dcols = grad_mat @ w_mat
-        return col2im(dcols, self._x_shape, k, k, self.stride, self.padding)
+        x_shape = (len(grad),) + self.input_shape
+        return col2im(dcols, x_shape, k, k, self.stride, self.padding)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

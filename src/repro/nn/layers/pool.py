@@ -1,8 +1,14 @@
-"""Spatial pooling layers (NCHW layout)."""
+"""Spatial pooling layers.
+
+Arrays are NCHW logically, ``(batch, channels, height, width)``, and
+keep whatever memory layout they arrive in: a conv stack is NHWC in
+memory (see :mod:`repro.nn.layers.conv`), and max pooling's output and
+input gradient stay NHWC so the next conv unrolls without a layout copy.
+"""
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 from repro.exceptions import ConfigurationError, ShapeError
@@ -63,36 +69,50 @@ class MaxPool2D(_Pool2D):
 
     Forward takes the window max as an elementwise ``np.maximum`` over
     the ``k*k`` strided window offsets, which is exact (NaNs propagate)
-    and needs no argmax.  It keeps a reference to its input, from which
-    ``backward`` derives the first-occurrence argmax of each window
-    (a NaN counts as the maximum, as in ``np.argmax``).
+    and needs no argmax.  It keeps references to its input and output.
+    ``backward`` marks, per offset, the windows whose first maximum sits
+    there (a NaN counts as the maximum, as in ``np.argmax``), and adds
+    the gradient through those marks one offset at a time.
     """
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x
+    def _offsets(self) -> List[Tuple[Any, slice, slice]]:
+        """Index of the strided view at each window offset, row-major."""
         k, s = self.pool_size, self.stride
         _, oh, ow = self.output_shape()
-        offsets = [
-            x[:, :, di : di + s * oh : s, dj : dj + s * ow : s]
+        return [
+            (Ellipsis, slice(di, di + s * oh, s), slice(dj, dj + s * ow, s))
             for di in range(k)
             for dj in range(k)
         ]
-        out = offsets[0].copy()
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        self._x = x
+        offsets = [x[index] for index in self._offsets()]
+        out = offsets[0].copy(order="K")
         for window in offsets[1:]:
             np.maximum(out, window, out=out)
+        self._out = out
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        x = self._x
-        n, c = x.shape[:2]
-        k, s = self.pool_size, self.stride
-        _, oh, ow = self.output_shape()
-        windows = self._windows(x).reshape(n, c, oh, ow, k * k)
-        dx = np.zeros(x.shape, dtype=grad.dtype)
-        # Scatter each window's gradient to its argmax position.
-        ni, ci, oi, oj = np.indices((n, c, oh, ow))
-        di, dj = np.divmod(windows.argmax(axis=-1), k)
-        np.add.at(dx, (ni, ci, oi * s + di, oj * s + dj), grad)
+        top = self._out
+        dx = np.zeros_like(self._x, dtype=grad.dtype)
+        unclaimed = np.ones(top.shape, dtype=bool)
+        hits = []
+        for index in self._offsets():
+            window = self._x[index]
+            hit = (window == top) | np.isnan(window)
+            hit &= unclaimed
+            unclaimed &= ~hit
+            hits.append((index, hit))
+        # A cell of overlapping windows sums its windows' gradients in
+        # window raster order, which is reverse offset order, each added
+        # as ``new + sum``: the sums ``np.add.at`` takes, down to which
+        # NaN payload survives.  Unmarked cells add +0.0, which changes
+        # no value of dx (it starts at +0.0 and never holds -0.0).
+        for index, hit in reversed(hits):
+            cells = dx[index]
+            np.add(np.where(hit, grad, 0.0), cells, out=cells)
         return dx
 
 

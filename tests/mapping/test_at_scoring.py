@@ -18,9 +18,11 @@ import numpy as np
 import pytest
 
 from repro.device import DeviceConfig
+import repro.mapping.network as network_module
 from repro.mapping import MappedNetwork
 from repro.mapping.aging_aware import AgingAwareMapper
 from repro.mapping.linear import LinearWeightMapping
+from repro.nn.layers.conv import Conv2D, im2col
 from repro.training.networks import build_lenet, build_vggnet
 
 DEVICE = DeviceConfig(pulses_to_collapse=30, write_noise=0.1, n_levels=32)
@@ -120,25 +122,49 @@ def test_matches_full_network_scoring(arch, batch):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_prefix_runs_once_per_layer():
-    """Layer 0 runs once per own candidate plus once per later weighted layer."""
+def test_prefix_runs_once_per_layer(monkeypatch):
+    """Layer 0 runs once per later weighted layer; each scored conv unrolls once.
+
+    A conv layer's candidates enter it at its GEMM
+    (``Conv2D.forward_columns``) over columns unrolled once per layer,
+    so layer 0's ``forward`` runs only to build later layers' prefixes.
+    """
     model = build_lenet(seed=1)
     network = _aged_network(model, seed=3)
     policy = AgingAwareMapper(selection_batch=64)
     first = network._scratch.layers[0]
-    calls = []
-    forward = first.forward
+    calls, column_calls, unrolls = [], [], []
+    forward, forward_columns = first.forward, first.forward_columns
 
     def counting_forward(x, training=False):
         calls.append(len(x))
         return forward(x, training=training)
 
+    def counting_forward_columns(cols):
+        column_calls.append(len(cols))
+        return forward_columns(cols)
+
+    def counting_im2col(x, *args):
+        unrolls.append(x.shape)
+        return im2col(x, *args)
+
     first.forward = counting_forward
+    first.forward_columns = counting_forward_columns
+    monkeypatch.setattr(network_module, "im2col", counting_im2col)
     network.map_network(policy, _selection(model, 64, seed=4))
 
     own, later = policy.history[0], policy.history[1:]
     assert [sel.layer_index for sel in later] == [3, 6, 8]
-    assert len(calls) == len(own.candidates) + len(later)
+    # Prefix forwards: one per later weighted layer, none per candidate.
+    assert calls == [64] * len(later)
+    # Column unrolls: one per scored conv layer, on its input.
+    layers = network._scratch.layers
+    assert [i for i, layer in enumerate(layers) if isinstance(layer, Conv2D)] == [0, 3]
+    assert unrolls == [(64,) + layers[0].input_shape, (64,) + layers[3].input_shape]
+    # Layer 0's GEMM runs once per own candidate (over the cached
+    # unroll) plus once per prefix forward.
+    assert column_calls == [64 * 8 * 8] * (len(own.candidates) + len(later))
+    assert len(own.candidates) > 1
     assert sum(len(sel.candidates) for sel in later) > len(later)
 
 

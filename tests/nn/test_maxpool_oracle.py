@@ -48,7 +48,15 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-def _assert_same(pool: int, stride: int, x: np.ndarray, rng, training: bool = True):
+def _nhwc(a: np.ndarray) -> np.ndarray:
+    """NCHW view of a copy of ``a`` stored channels-last."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _assert_same(
+    pool: int, stride: int, x: np.ndarray, rng, training: bool = True, grad=None
+):
+    """Same outputs and ``dx``; ``grad(shape)`` builds the upstream gradient."""
     shape = x.shape[1:]
     layer, reference = MaxPool2D(pool, stride), ReferenceMaxPool2D(pool, stride)
     layer.build(shape)
@@ -57,7 +65,7 @@ def _assert_same(pool: int, stride: int, x: np.ndarray, rng, training: bool = Tr
     expected = reference.forward(x, training=training)
     assert out.shape == expected.shape
     np.testing.assert_array_equal(_bits(out), _bits(expected))
-    grad = rng.normal(size=expected.shape)
+    grad = rng.normal(size=expected.shape) if grad is None else grad(expected.shape)
     np.testing.assert_array_equal(_bits(layer.backward(grad)), _bits(reference.backward(grad)))
 
 
@@ -101,6 +109,72 @@ def test_inference_forward_then_backward(pool, stride, rng):
     # backward on the same batch.
     x = np.maximum(rng.normal(size=(4, 3, 10, 10)), 0.0)
     _assert_same(pool, stride, x, rng, training=False)
+
+
+#: NaNs with distinct payloads and signs, so the order of any NaN sum shows.
+_NANS = np.array([0x7FF8000000000001, 0xFFF8000000000002, 0x7FF8000000000003], np.uint64).view(
+    np.float64
+)
+
+
+def _special_grad(rng):
+    """Gradients with ``-0.0``, ``+0.0`` and NaN entries among normal values."""
+
+    def make(shape):
+        grad = rng.normal(size=shape)
+        draw = rng.random(shape)
+        grad[draw < 0.3] = -0.0
+        grad[(draw >= 0.3) & (draw < 0.4)] = 0.0
+        nan = draw >= 0.9
+        grad[nan] = rng.choice(_NANS, size=int(nan.sum()))
+        return grad
+
+    return make
+
+
+@pytest.mark.parametrize("pool,stride", GEOMETRIES)
+def test_signed_zero_and_nan_gradients(pool, stride, rng):
+    x = np.maximum(rng.integers(-3, 3, size=(4, 3, 9, 10)), 0).astype(np.float64)
+    _assert_same(pool, stride, x, rng, grad=_special_grad(rng))
+    grad = _special_grad(rng)
+    _assert_same(pool, stride, rng.normal(size=(3, 2, 11, 8)), rng, grad=grad)
+
+
+def test_negative_zero_gradient_lands_as_positive_zero(rng):
+    layer = MaxPool2D(2)
+    layer.build((2, 4, 4))
+    layer.forward(rng.normal(size=(3, 2, 4, 4)))
+    dx = layer.backward(np.full((3, 2, 2, 2), -0.0))
+    assert not np.signbit(dx).any()  # 0.0 + -0.0, as np.add.at sums it
+
+
+@pytest.mark.parametrize("grad_nhwc", [False, True])
+@pytest.mark.parametrize("pool,stride", GEOMETRIES)
+def test_channels_last_memory(pool, stride, grad_nhwc, rng):
+    # A conv stack hands NHWC memory to the pool (as an NCHW view), and
+    # the next conv's backward hands back an NHWC gradient.
+    special = _special_grad(rng)
+
+    def grad(shape):
+        g = special(shape)
+        return _nhwc(g) if grad_nhwc else g
+
+    ties = np.maximum(rng.integers(-3, 3, size=(4, 3, 9, 10)), 0).astype(np.float64)
+    _assert_same(pool, stride, _nhwc(ties), rng, grad=grad)
+    nans = rng.normal(size=(3, 4, 9, 9))
+    nans[rng.random(nans.shape) < 0.15] = np.nan
+    _assert_same(pool, stride, _nhwc(nans), rng, grad=grad)
+    _assert_same(pool, stride, _nhwc(rng.normal(size=(3, 2, 11, 8))), rng, grad=grad)
+
+
+@pytest.mark.parametrize("pool,stride", GEOMETRIES)
+def test_channels_last_in_and_out(pool, stride, rng):
+    layer = MaxPool2D(pool, stride)
+    layer.build((5, 9, 10))
+    out = layer.forward(_nhwc(rng.normal(size=(2, 5, 9, 10))))
+    assert out.transpose(0, 2, 3, 1).flags.c_contiguous
+    dx = layer.backward(_nhwc(rng.normal(size=out.shape)))
+    assert dx.transpose(0, 2, 3, 1).flags.c_contiguous
 
 
 def test_backward_follows_latest_forward(rng):
